@@ -119,26 +119,31 @@ def invariants(ms: MomentumSet) -> Invariants:
     return Invariants(s=(ms.p1 + ms.p2).norm2(), t=(ms.p1 - ms.k1).norm2())
 
 
-def zeta(chi: float) -> np.ndarray:
+_ZETA_PHASES = np.array([-0.5j, 0.5j])
+
+
+def zeta(chi) -> np.ndarray:
     """Unit two-spinor (e^{-i chi/2}, e^{i chi/2})/sqrt(2).
 
     Encodes a spin direction at angle chi from the x axis, in the plane
     transverse to a momentum along z.  zeta(chi) and zeta(chi + pi) form an
-    orthonormal pair.
+    orthonormal pair.  Array angles give shape ``chi.shape + (2,)``.
     """
-    return np.array(
-        [np.exp(-0.5j * chi), np.exp(0.5j * chi)], dtype=complex
-    ) / math.sqrt(2.0)
+    return np.exp(np.multiply.outer(chi, _ZETA_PHASES)) / math.sqrt(2.0)
 
 
-def xi(chi: float) -> np.ndarray:
+def xi(chi) -> np.ndarray:
     """Unit two-spinor (-i cos(chi/2), sin(chi/2)).
 
     Encodes a spin direction at angle chi from the z axis, in the plane
     transverse to a momentum along x.  xi(chi) and xi(chi + pi) form an
-    orthonormal pair.
+    orthonormal pair.  Array angles give shape ``chi.shape + (2,)``.
     """
-    return np.array([-1.0j * np.cos(0.5 * chi), np.sin(0.5 * chi)], dtype=complex)
+    half = 0.5 * np.asarray(chi)
+    pair = np.empty(half.shape + (2,), dtype=complex)
+    pair[..., 0] = -1.0j * np.cos(half)
+    pair[..., 1] = np.sin(half)
+    return pair
 
 
 class InitialSpinors(NamedTuple):
@@ -170,51 +175,52 @@ def polarized_initial_spinors(speed: Speed) -> InitialSpinors:
     return InitialSpinors(u_p1, vbar_p2)
 
 
-def polarized_final_spinors(speed: Speed, chi1: float, chi2: float) -> PolarizedFinalSpinors:
+def polarized_final_spinors(speed: Speed, chi1, chi2) -> PolarizedFinalSpinors:
     """Emerging-pair spinors for the polarized setup, measurement angles chi1, chi2.
 
     ubar(k1) = (zeta1^dag, rho * zeta1^dag sigma_3) as a row and
     v(k2) = (rho * sigma_3 zeta2, zeta2) as a column, again up to overall
-    constants that cancel in probabilities.
+    constants that cancel in probabilities.  Array angles add leading axes;
+    the spinor index is always the last one.
     """
     require_subluminal(speed)
     r = speed.rho
     z1 = zeta(chi1)
     z2 = zeta(chi2)
-    ubar_k1 = np.concatenate([z1.conj(), r * (z1.conj() @ PAULI[2])])
-    v_k2 = np.concatenate([r * (PAULI[2] @ z2), z2])
+    ubar_k1 = np.concatenate([z1.conj(), r * (z1.conj() @ PAULI[2])], axis=-1)
+    v_k2 = np.concatenate([r * (z2 @ PAULI[2].T), z2], axis=-1)
     return PolarizedFinalSpinors(ubar_k1, v_k2)
 
 
-def unpolarized_final_spinors(speed: Speed, chi1: float, chi2: float) -> UnpolarizedFinalSpinors:
+def unpolarized_final_spinors(speed: Speed, chi1, chi2) -> UnpolarizedFinalSpinors:
     """Emerging-pair spinors for the unpolarized setup (pair along +/- x).
 
     These carry the standard normalization sqrt((k0 + m)/2m), which makes
-    ubar(k1) u(k1) = +1 and vbar(k2) v(k2) = -1 in natural units.
+    ubar(k1) u(k1) = +1 and vbar(k2) v(k2) = -1 in natural units.  Array
+    angles add leading axes, as in :func:`polarized_final_spinors`.
     """
     require_subluminal(speed)
     r = speed.rho
     scale = math.sqrt((speed.gamma + 1.0) / 2.0)
     x1 = xi(chi1)
     x2 = xi(chi2)
-    u_k1 = scale * np.concatenate([x1, r * (PAULI[0] @ x1)])
-    v_k2 = scale * np.concatenate([-r * (PAULI[0] @ x2), x2])
+    u_k1 = scale * np.concatenate([x1, r * (x1 @ PAULI[0].T)], axis=-1)
+    v_k2 = scale * np.concatenate([-r * (x2 @ PAULI[0].T), x2], axis=-1)
     return UnpolarizedFinalSpinors(u_k1, v_k2)
 
 
-def unpolarized_initial_basis(speed: Speed) -> tuple[tuple[Spinor4c, ...], tuple[RowSpinor, ...]]:
+def unpolarized_initial_basis(speed: Speed) -> tuple[np.ndarray, np.ndarray]:
     """Complete initial-spin basis for the spin average.
 
     Returns the two electron spinors u_s(p1) and the two adjoint positron
     spinors vbar_s(p2) built from the up/down two-spinor basis, with momenta
-    along +/- y and the same normalization as the final spinors.
+    along +/- y and the same normalization as the final spinors.  Each is a
+    (2, 4) array whose rows are the spin-up and spin-down states.
     """
     require_subluminal(speed)
     r = speed.rho
     scale = math.sqrt((speed.gamma + 1.0) / 2.0)
-    basis = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-    us = tuple(scale * np.concatenate([xs, r * (PAULI[1] @ xs)]) for xs in basis)
-    vbars = tuple(
-        dirac_adjoint(scale * np.concatenate([-r * (PAULI[1] @ xs), xs])) for xs in basis
-    )
+    basis = np.eye(2, dtype=complex)  # rows: up, down
+    us = scale * np.concatenate([basis, r * (basis @ PAULI[1].T)], axis=-1)
+    vbars = dirac_adjoint(scale * np.concatenate([-r * (basis @ PAULI[1].T), basis], axis=-1))
     return us, vbars

@@ -11,6 +11,13 @@ from :mod:`spincorr.closed_form`:
   two are compared against each other because transcribed trace expressions
   are easy to get wrong; the cross check is the arbiter.
 
+All three routes take scalar or array angles.  Scalar angles give a Python
+``complex`` or ``float``; arrays broadcast against each other and give an
+array of that shape.  Momenta, invariants, initial spinors and the
+angle-independent trace blocks are built once per ``Speed`` object and kept
+while it is alive, so the fits and the cross check, which call a route once
+per angle pair, pay only for the angle-dependent spinors and contractions.
+
 Both amplitude-level routes return the propagator-cleared combination (the
 raw channel denominators are multiplied out).  At fixed speed that is an
 angle-independent rescale, absorbed by the fit ``scale``; it keeps the
@@ -25,8 +32,11 @@ being adjudicated.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +44,7 @@ from .closed_form import CorrelationModel, coefficients, unpolarized_coefficient
 from .dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from .kinematics import (
     Config,
+    Invariants,
     Speed,
     invariants,
     momenta,
@@ -45,6 +56,7 @@ from .kinematics import (
 )
 
 _SIGNS = np.array(METRIC_SIGNS)
+_WEIGHTS = np.outer(_SIGNS, _SIGNS)  # lowers both contracted indices of the trace terms
 
 #: Verdict threshold for fitted-versus-template coefficient agreement.
 DEFAULT_COEFF_TOLERANCE = 1e-6
@@ -60,93 +72,159 @@ class FitError(RuntimeError):
     """Raised when the fit design matrix stays singular after re-sampling."""
 
 
-def _contract(vertex_a: np.ndarray, vertex_b: np.ndarray) -> complex:
-    """Minkowski contraction of two four-vectors of vertex values."""
-    return complex(np.sum(_SIGNS * vertex_a * vertex_b))
+def _contract(vertex_a: np.ndarray, vertex_b: np.ndarray) -> np.ndarray:
+    """Minkowski contraction of two four-vectors of vertex values (last axis)."""
+    return np.add.reduce(_SIGNS * vertex_a * vertex_b, axis=-1)
 
 
 def _vertex(rbar: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """All four values rbar gamma^mu column as a vector indexed by mu."""
-    return np.einsum("a,mab,b->m", rbar, GAMMA_STACK, column)
+    """All four values rbar gamma^mu column, indexed by mu on the last axis."""
+    return np.einsum("...a,mab,...b->...m", rbar, GAMMA_STACK, column)
 
 
-def amplitude_polarized(speed: Speed, chi1: float, chi2: float) -> complex:
+def _point_or_batch(values: np.ndarray, kind: type):
+    """A Python ``kind`` for scalar angles, the array for array angles."""
+    return kind(values) if np.ndim(values) == 0 else values
+
+
+def _per_speed(build):
+    """Memoize ``build(speed)`` for as long as that ``Speed`` object is alive.
+
+    A fit or a cross check calls a route once per angle pair with one
+    ``Speed``; the angle-independent blocks are built on the first call.
+    """
+    memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def blocks(speed: Speed):
+        try:
+            return memo[speed]
+        except KeyError:
+            value = memo[speed] = build(speed)
+            return value
+
+    return blocks
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+class _PolarizedBlocks(NamedTuple):
+    inv: Invariants
+    u_p1: np.ndarray
+    vbar_p2: np.ndarray
+    initial_ann: np.ndarray   # vbar(p2) gamma^mu u(p1)
+
+
+class _UnpolarizedBlocks(NamedTuple):
+    inv: Invariants
+    us: np.ndarray            # (2, 4): electron basis states u_i(p1)
+    vbars: np.ndarray         # (2, 4): positron basis states vbar_j(p2)
+    initial_ann: np.ndarray   # (2, 2, 4): vbar_j(p2) gamma^mu u_i(p1), axes (i, j, mu)
+    traces: np.ndarray        # (3, 4, 4): trace_1..trace_3 of the trace expression
+    u_gammas: np.ndarray      # gamma^m (m - p1slash) gamma^s, axes (m, s, a, d)
+    v_gammas: np.ndarray      # gamma^s (p2slash + m) gamma^m, axes (s, m, a, d)
+
+
+@_per_speed
+def _polarized_blocks(speed: Speed) -> _PolarizedBlocks:
+    inv = invariants(momenta(Config.POLARIZED_AXES, speed))
+    u_p1, vbar_p2 = polarized_initial_spinors(speed)
+    initial_ann = _vertex(vbar_p2, u_p1)
+    _read_only(u_p1, vbar_p2, initial_ann)
+    return _PolarizedBlocks(inv, u_p1, vbar_p2, initial_ann)
+
+
+@_per_speed
+def _unpolarized_blocks(speed: Speed) -> _UnpolarizedBlocks:
+    ms = momenta(Config.UNPOLARIZED_AXES, speed)
+    us, vbars = unpolarized_initial_basis(speed)
+    initial_ann = _vertex(vbars[np.newaxis, :, :], us[:, np.newaxis, :])
+
+    eye = np.eye(4, dtype=complex)
+    p2_plus = slash(ms.p2) + ms.m * eye
+    p1_minus = ms.m * eye - slash(ms.p1)
+    traces = np.stack([
+        np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus),
+        np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK),
+        np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus),
+    ])
+    u_gammas = np.einsum("mab,bc,scd->msad", GAMMA_STACK, p1_minus, GAMMA_STACK)
+    v_gammas = np.einsum("sab,bc,mcd->smad", GAMMA_STACK, p2_plus, GAMMA_STACK)
+    _read_only(us, vbars, initial_ann, traces, u_gammas, v_gammas)
+    return _UnpolarizedBlocks(invariants(ms), us, vbars, initial_ann, traces, u_gammas, v_gammas)
+
+
+def amplitude_polarized(speed: Speed, chi1, chi2):
     """Two-channel amplitude of the polarized setup, propagator-cleared.
 
     Returns t*X - s*Y where X is the annihilation-channel numerator, Y the
     exchange-channel numerator, and (s, t) the channel denominators; this is
     the amplitude X/s - Y/t rescaled by the angle-independent factor s*t.
+    Scalar angles give a ``complex``; array angles broadcast.
     """
     require_subluminal(speed)
-    ms = momenta(Config.POLARIZED_AXES, speed)
-    inv = invariants(ms)
-    u_p1, vbar_p2 = polarized_initial_spinors(speed)
+    inv, u_p1, vbar_p2, initial_ann = _polarized_blocks(speed)
     ubar_k1, v_k2 = polarized_final_spinors(speed, chi1, chi2)
-    annihilation = _contract(_vertex(vbar_p2, u_p1), _vertex(ubar_k1, v_k2))
+    annihilation = _contract(initial_ann, _vertex(ubar_k1, v_k2))
     exchange = _contract(_vertex(ubar_k1, u_p1), _vertex(vbar_p2, v_k2))
-    return inv.t * annihilation - inv.s * exchange
+    return _point_or_batch(inv.t * annihilation - inv.s * exchange, complex)
 
 
-def spin_average_oracle(speed: Speed, chi1: float, chi2: float) -> float:
+def spin_average_oracle(speed: Speed, chi1, chi2):
     """Squared amplitude averaged over the four initial-spin basis states.
 
     Uses the same propagator-cleared combination as
     :func:`amplitude_polarized`, with the unpolarized-setup momenta and
     final spinors.  Second, independent route to the unpolarized intensity.
+    Scalar angles give a ``float``; array angles broadcast.
     """
     require_subluminal(speed)
-    ms = momenta(Config.UNPOLARIZED_AXES, speed)
-    inv = invariants(ms)
+    blocks = _unpolarized_blocks(speed)
     u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
     ubar_k1 = dirac_adjoint(u_k1)
-    us, vbars = unpolarized_initial_basis(speed)
-    final_ann = _vertex(ubar_k1, v_k2)
-    total = 0.0
-    for u_p1 in us:
-        for vbar_p2 in vbars:
-            annihilation = _contract(_vertex(vbar_p2, u_p1), final_ann)
-            exchange = _contract(_vertex(ubar_k1, u_p1), _vertex(vbar_p2, v_k2))
-            total += abs(inv.t * annihilation - inv.s * exchange) ** 2
-    return total / 4.0
+    # Axes (..., i, j, mu): electron basis state i, positron basis state j.
+    final_ann = _vertex(ubar_k1, v_k2)[..., np.newaxis, np.newaxis, :]
+    electron_ex = _vertex(ubar_k1[..., np.newaxis, :], blocks.us)[..., :, np.newaxis, :]
+    positron_ex = _vertex(blocks.vbars, v_k2[..., np.newaxis, :])[..., np.newaxis, :, :]
+    annihilation = _contract(blocks.initial_ann, final_ann)
+    exchange = _contract(electron_ex, positron_ex)
+    amplitude = blocks.inv.t * annihilation - blocks.inv.s * exchange
+    total = np.add.reduce(abs(amplitude) ** 2, axis=(-2, -1))
+    return _point_or_batch(total / 4.0, float)
 
 
-def quad_unpolarized_complex(speed: Speed, chi1: float, chi2: float) -> complex:
+def quad_unpolarized_complex(speed: Speed, chi1, chi2):
     """Verbatim four-term trace expression, denominators cleared by (s*t)^2.
 
     The assembled value must come out real; the imaginary part is kept as a
-    numerical diagnostic.
+    numerical diagnostic.  Scalar angles give a ``complex``; array angles
+    broadcast.
     """
     require_subluminal(speed)
-    ms = momenta(Config.UNPOLARIZED_AXES, speed)
-    inv = invariants(ms)
+    blocks = _unpolarized_blocks(speed)
+    trace_1, trace_2, trace_3 = blocks.traces
     u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
     ubar_k1 = dirac_adjoint(u_k1)
     vbar_k2 = dirac_adjoint(v_k2)
 
-    eye = np.eye(4, dtype=complex)
-    p2_plus = slash(ms.p2) + ms.m * eye
-    p1_minus = ms.m * eye - slash(ms.p1)
-
     b_mu = _vertex(ubar_k1, v_k2)   # ubar(k1) gamma^mu v(k2)
     c_sigma = _vertex(vbar_k2, u_k1)  # vbar(k2) gamma^sigma u(k1)
-    weights = np.outer(_SIGNS, _SIGNS)  # lowers both contracted indices
+    u_block = np.einsum("...a,msad,...d->...ms", ubar_k1, blocks.u_gammas, u_k1)
+    v_block = np.einsum("...a,smad,...d->...sm", vbar_k2, blocks.v_gammas, v_k2)
 
-    trace_1 = np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus)
-    trace_2 = np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK)
-    trace_3 = np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus)
-    u_block = np.einsum("a,mab,bc,scd,d->ms", ubar_k1, GAMMA_STACK, p1_minus, GAMMA_STACK, u_k1)
-    v_block = np.einsum("a,sab,bc,mcd,d->sm", vbar_k2, GAMMA_STACK, p2_plus, GAMMA_STACK, v_k2)
+    term_1 = np.einsum("sm,sm,...m,...s->...", _WEIGHTS, trace_1, b_mu, c_sigma)
+    term_2 = np.einsum("ms,ms,...s,...m->...", _WEIGHTS, trace_2, c_sigma, b_mu)
+    term_3 = np.einsum("ms,ms,...m,...s->...", _WEIGHTS, trace_3, b_mu, c_sigma)
+    term_4 = np.einsum("ms,...ms,...sm->...", _WEIGHTS, u_block, v_block)
 
-    term_1 = np.einsum("sm,sm,m,s->", weights, trace_1, b_mu, c_sigma)
-    term_2 = np.einsum("ms,ms,s,m->", weights, trace_2, c_sigma, b_mu)
-    term_3 = np.einsum("ms,ms,m,s->", weights, trace_3, b_mu, c_sigma)
-    term_4 = np.einsum("ms,ms,sm->", weights, u_block, v_block)
-
-    s, t = inv.s, inv.t
-    return complex(term_1 * t * t - (term_2 + term_3) * s * t + term_4 * s * s)
+    s, t = blocks.inv.s, blocks.inv.t
+    return _point_or_batch(term_1 * t * t - (term_2 + term_3) * s * t + term_4 * s * s, complex)
 
 
-def quad_unpolarized(speed: Speed, chi1: float, chi2: float) -> float:
+def quad_unpolarized(speed: Speed, chi1, chi2):
     """Real part of :func:`quad_unpolarized_complex`."""
     return quad_unpolarized_complex(speed, chi1, chi2).real
 
@@ -181,6 +259,23 @@ def validation_grid(n: int = VALIDATION_GRID_N) -> tuple[np.ndarray, np.ndarray]
     return np.meshgrid(axis, axis, indexing="ij")
 
 
+def _template_value(model: CorrelationModel, coeffs, chi1, chi2):
+    """Evaluate a closed-form template shape with the given weights.
+
+    ``coeffs`` is (a, b, c, d) for the polarized two-bracket template and
+    (w_sin, w_cos, w_const) for the unpolarized one; angles broadcast.
+    """
+    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
+    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
+    if model is CorrelationModel.POLARIZED:
+        a, b, c, d = coeffs
+        return (a * np.cos(half_sum) + b * np.sin(half_diff)) ** 2 + (
+            c * np.sin(half_sum) + d * np.cos(half_diff)
+        ) ** 2
+    w_sin, w_cos, w_const = coeffs
+    return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const
+
+
 @dataclass(frozen=True)
 class TrigFit:
     """Result of fitting an oracle's angular shape to a closed-form template.
@@ -202,15 +297,7 @@ class TrigFit:
 
     def evaluate(self, chi1, chi2):
         """Evaluate the fitted template at the given angles."""
-        half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
-        half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
-        if self.model is CorrelationModel.POLARIZED:
-            a, b, c, d = self.coefficients
-            return (a * np.cos(half_sum) + b * np.sin(half_diff)) ** 2 + (
-                c * np.sin(half_sum) + d * np.cos(half_diff)
-            ) ** 2
-        w_sin, w_cos, w_const = self.coefficients
-        return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const
+        return _template_value(self.model, self.coefficients, chi1, chi2)
 
 
 def _polarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
@@ -228,15 +315,6 @@ def _polarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def _bracket_template(coeffs, chi1, chi2):
-    a, b, c, d = coeffs
-    half_sum = 0.5 * (chi1 + chi2)
-    half_diff = 0.5 * (chi1 - chi2)
-    return (a * np.cos(half_sum) + b * np.sin(half_diff)) ** 2 + (
-        c * np.sin(half_sum) + d * np.cos(half_diff)
-    ) ** 2
 
 
 def _reconstruct_brackets(
@@ -288,7 +366,8 @@ def _reconstruct_brackets(
     best = None
     for s1, s2 in ((z_hi, z_lo), (z_lo, z_hi)):
         candidate = build(s1, s2)
-        residual = float(np.max(np.abs(_bracket_template(candidate, chi1, chi2) - values)))
+        fitted = _template_value(CorrelationModel.POLARIZED, candidate, chi1, chi2)
+        residual = float(np.max(np.abs(fitted - values)))
         if best is None or residual < best[0]:
             best = (residual, candidate)
     return best[1]

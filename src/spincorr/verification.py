@@ -33,6 +33,15 @@ IDENTITY_TOLERANCE = 1e-12
 SAMPLES_PER_MODEL = 200
 SAMPLE_SEED = 20260811
 FIT_BETAS = (0.3, 0.6, 0.9)
+IDENTITY_NAMES = (
+    "polarized four-pair sum equals 1",
+    "unpolarized four-pair sum equals 1",
+    "polarized normalization equals brute four-pair sum",
+    "unpolarized normalization equals brute four-pair sum",
+    "polarized marginal 1 equals defining sum",
+    "polarized marginal 2 equals defining sum",
+    "unpolarized marginals equal one half",
+)
 
 
 @dataclass(frozen=True)
@@ -162,53 +171,32 @@ def identity_checks(
     seed: int = SAMPLE_SEED,
     tolerance: float = IDENTITY_TOLERANCE,
 ) -> list[IdentityCheck]:
-    """Normalization and marginal identities over a deterministic sample set."""
+    """Normalization and marginal identities over a deterministic sample set.
+
+    Each closed form is evaluated once per sample on the four normalization
+    pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
+    """
     triples = _sample_triples(samples, seed)
-    errors = {
-        "polarized four-pair sum equals 1": 0.0,
-        "unpolarized four-pair sum equals 1": 0.0,
-        "polarized normalization equals brute four-pair sum": 0.0,
-        "unpolarized normalization equals brute four-pair sum": 0.0,
-        "polarized marginal 1 equals defining sum": 0.0,
-        "polarized marginal 2 equals defining sum": 0.0,
-        "unpolarized marginals equal one half": 0.0,
-    }
-    for beta, chi1, chi2 in triples:
+    shift1, shift2 = np.array(cf.FOUR_PAIR_SHIFTS).T
+    unp_marginal_error = max(abs(cf.marginal_unpolarized(w) - 0.5) for w in (1, 2))
+    deviations = np.zeros((len(triples), len(IDENTITY_NAMES)))
+    for row, (beta, chi1, chi2) in zip(deviations, triples):
         speed = Speed(beta)
-        pol = cf.four_pair_sum(lambda a, b: cf.joint(CorrelationModel.POLARIZED, speed, a, b), chi1, chi2)
-        unp = cf.four_pair_sum(lambda a, b: cf.joint(CorrelationModel.UNPOLARIZED, speed, a, b), chi1, chi2)
-        errors["polarized four-pair sum equals 1"] = max(
-            errors["polarized four-pair sum equals 1"], abs(pol - 1.0)
+        chi1s, chi2s = chi1 + shift1, chi2 + shift2
+        pol = cf.joint(CorrelationModel.POLARIZED, speed, chi1s, chi2s)
+        unp = cf.joint(CorrelationModel.UNPOLARIZED, speed, chi1s, chi2s)
+        # Python's sum adds in the same order as cf.four_pair_sum.
+        row[:] = (
+            sum(pol) - 1.0,
+            sum(unp) - 1.0,
+            sum(cf.f_polarized(speed, chi1s, chi2s)) - cf.n_polarized(speed),
+            sum(cf.f_unpolarized(speed, chi1s, chi2s)) - cf.norm_unpolarized(speed),
+            pol[0] + pol[2] - cf.marginal1_polarized(speed, chi1),
+            pol[0] + pol[1] - cf.marginal2_polarized(speed, chi2),
+            max(abs(unp[0] + unp[2] - 0.5), abs(unp[0] + unp[1] - 0.5), unp_marginal_error),
         )
-        errors["unpolarized four-pair sum equals 1"] = max(
-            errors["unpolarized four-pair sum equals 1"], abs(unp - 1.0)
-        )
-        errors["polarized normalization equals brute four-pair sum"] = max(
-            errors["polarized normalization equals brute four-pair sum"],
-            abs(cf.four_pair_sum(lambda a, b: cf.f_polarized(speed, a, b), chi1, chi2) - cf.n_polarized(speed)),
-        )
-        errors["unpolarized normalization equals brute four-pair sum"] = max(
-            errors["unpolarized normalization equals brute four-pair sum"],
-            abs(cf.four_pair_sum(lambda a, b: cf.f_unpolarized(speed, a, b), chi1, chi2) - cf.norm_unpolarized(speed)),
-        )
-        joint_pol = lambda a, b: cf.joint(CorrelationModel.POLARIZED, speed, a, b)
-        errors["polarized marginal 1 equals defining sum"] = max(
-            errors["polarized marginal 1 equals defining sum"],
-            abs(joint_pol(chi1, chi2) + joint_pol(chi1, chi2 + math.pi) - cf.marginal1_polarized(speed, chi1)),
-        )
-        errors["polarized marginal 2 equals defining sum"] = max(
-            errors["polarized marginal 2 equals defining sum"],
-            abs(joint_pol(chi1, chi2) + joint_pol(chi1 + math.pi, chi2) - cf.marginal2_polarized(speed, chi2)),
-        )
-        joint_unp = lambda a, b: cf.joint(CorrelationModel.UNPOLARIZED, speed, a, b)
-        errors["unpolarized marginals equal one half"] = max(
-            errors["unpolarized marginals equal one half"],
-            abs(joint_unp(chi1, chi2) + joint_unp(chi1, chi2 + math.pi) - 0.5),
-            abs(joint_unp(chi1, chi2) + joint_unp(chi1 + math.pi, chi2) - 0.5),
-            abs(cf.marginal_unpolarized(1) - 0.5),
-            abs(cf.marginal_unpolarized(2) - 0.5),
-        )
-    return [IdentityCheck(name, float(err), tolerance) for name, err in errors.items()]
+    errors = np.max(np.abs(deviations), axis=0, initial=0.0)
+    return [IdentityCheck(name, float(err), tolerance) for name, err in zip(IDENTITY_NAMES, errors)]
 
 
 def fit_checks(

@@ -207,3 +207,20 @@ class TestUnpolarizedSpinors:
         assert dirac_adjoint(us[1]) @ us[1] == pytest.approx(1.0, abs=1e-10)
         # adjoints of the two v spinors annihilate the opposite-spin electron state
         assert abs(dirac_adjoint(us[0]) @ us[1]) < 1e-12
+
+
+class TestBatchedFinalSpinors:
+    @pytest.mark.parametrize(
+        "builder", (polarized_final_spinors, unpolarized_final_spinors), ids=lambda fn: fn.__name__
+    )
+    @pytest.mark.parametrize("beta", (0.0, 0.6, BETA_ORACLE_MAX))
+    def test_rows_equal_scalar_spinors(self, builder, beta):
+        rng = np.random.default_rng(43)
+        chi1, chi2 = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(2, 20))
+        speed = Speed(beta)
+        first, second = builder(speed, chi1, chi2)
+        assert first.shape == second.shape == (20, 4)
+        for i, (a, b) in enumerate(zip(chi1, chi2)):
+            scalar_first, scalar_second = builder(speed, a, b)
+            np.testing.assert_allclose(first[i], scalar_first, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(second[i], scalar_second, rtol=1e-15, atol=1e-15)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spincorr.closed_form import CorrelationModel, f_polarized
-from spincorr.kinematics import Speed
+from spincorr import oracle
+from spincorr.kinematics import BETA_ORACLE_MAX, Speed, xi, zeta
 from spincorr.oracle import (
     ConsistencyReport,
     amplitude_polarized,
@@ -237,3 +238,58 @@ class TestCrossOracle:
     def test_agreement_flag_matches_deviation(self):
         report = cross_check_unpolarized(Speed(0.5))
         assert report.agree == (report.max_rel_deviation < 1e-9)
+
+
+ROUTES = (amplitude_polarized, spin_average_oracle, quad_unpolarized_complex)
+
+
+class TestBatchedRoutes:
+    @pytest.mark.parametrize("beta", (0.0, 0.5, 0.9, BETA_ORACLE_MAX))
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda fn: fn.__name__)
+    def test_batched_equals_per_point(self, route, beta):
+        rng = np.random.default_rng(41)
+        chi1, chi2 = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(2, 50))
+        speed = Speed(beta)
+        batched = route(speed, chi1, chi2)
+        per_point = np.array([route(speed, a, b) for a, b in zip(chi1, chi2)])
+        assert batched.shape == (50,)
+        scale = float(np.max(np.abs(per_point)))
+        np.testing.assert_allclose(batched, per_point, rtol=1e-13, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda fn: fn.__name__)
+    def test_angles_broadcast(self, route):
+        speed = Speed(0.7)
+        axis = np.linspace(0.0, 2.0 * math.pi, 5)
+        grid = route(speed, axis[:, None], axis[None, :])
+        assert grid.shape == (5, 5)
+        row = route(speed, axis[2], axis)
+        np.testing.assert_allclose(row, grid[2], rtol=1e-13, atol=1e-13 * np.max(np.abs(grid)))
+
+    def test_scalar_angles_give_python_scalars(self):
+        speed = Speed(0.6)
+        assert type(amplitude_polarized(speed, 0.3, 1.2)) is complex
+        assert type(quad_unpolarized_complex(speed, 0.3, 1.2)) is complex
+        assert type(spin_average_oracle(speed, 0.3, 1.2)) is float
+        assert type(quad_unpolarized(speed, 0.3, 1.2)) is float
+
+    def test_two_spinors_take_array_angles(self):
+        chi = np.linspace(0.0, 2.0 * math.pi, 7)
+        for spinor in (zeta, xi):
+            rows = spinor(chi)
+            assert rows.shape == (7, 2)
+            for angle, row in zip(chi, rows):
+                np.testing.assert_allclose(row, spinor(angle), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda fn: fn.__name__)
+    def test_reused_speed_gives_the_same_values_as_fresh_speeds(self, route):
+        speed = Speed(0.55)
+        for chi1, chi2 in ((0.3, 1.2), (2.9, -0.4), (5.0, 5.0)):
+            assert route(speed, chi1, chi2) == route(Speed(0.55), chi1, chi2)
+
+    def test_speed_blocks_are_built_once_and_read_only(self):
+        speed = Speed(0.55)
+        for blocks_of in (oracle._polarized_blocks, oracle._unpolarized_blocks):
+            blocks = blocks_of(speed)
+            assert blocks_of(speed) is blocks
+            for array in blocks[1:]:
+                assert not array.flags.writeable
