@@ -11,18 +11,20 @@ interval counts as a violation, in either direction.
 
 The search minimizes S: an exhaustive coarse grid (made cheap by splitting
 the six terms into two parts that share only the primed/unprimed first
-angles) followed by Nelder-Mead refinement from the best cell.  Everything
-is deterministic; repeated runs give bit-identical results.
+angles) followed by an exact see-saw from the best cell.  Both joint laws
+and the marginals are first harmonics in each angle, so with the first
+angles fixed the best second angles have a closed form, and vice versa; the
+see-saw alternates the two until S stops decreasing.  Everything is
+deterministic; repeated runs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .closed_form import CorrelationModel, joint, marginal
 from .kinematics import Speed
@@ -64,14 +66,12 @@ class AngleQuad:
 class SearchSettings:
     """Deterministic search profile.
 
-    The coarse step must divide 360 degrees.  Refinement runs a simplex
-    from the best grid cell until the S improvement drops below
-    ``s_tolerance`` or ``max_iterations`` is hit.
+    The coarse step must divide 360 degrees.  Refinement is an exact
+    see-saw from the best grid cell and runs until S stops decreasing, so
+    the grid step is the only setting.
     """
 
     grid_step_deg: float = 5.0
-    max_iterations: int = 500
-    s_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         step = float(self.grid_step_deg)
@@ -135,19 +135,10 @@ def s_value(model: CorrelationModel, speed: Speed, quad: AngleQuad) -> ChshResul
     )
 
 
-def _s_raw(model: CorrelationModel, speed: Speed) -> Callable[[np.ndarray], float]:
-    def evaluate(angles: np.ndarray) -> float:
-        x1, x2, x1p, x2p = angles
-        return float(
-            joint(model, speed, x1, x2)
-            - joint(model, speed, x1, x2p)
-            + joint(model, speed, x1p, x2)
-            + joint(model, speed, x1p, x2p)
-            - marginal(model, speed, 1, x1p)
-            - marginal(model, speed, 2, x2)
-        )
-
-    return evaluate
+# Bytes of one block of the cubic part arrays in _coarse_minimum: small
+# enough that both blocks stay in a core's cache, so a search neither streams
+# n^3 arrays through memory nor maps fresh pages for them.
+_GRID_BLOCK_BYTES = 1 << 19
 
 
 def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSettings):
@@ -156,6 +147,9 @@ def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSetti
     For fixed (x1, x1') the x2 and x2' contributions separate:
     S = [P(x1,x2) + P(x1',x2) - m2(x2)] + [P(x1',x2') - P(x1,x2') - m1(x1')].
     Ties are broken toward the lexicographically smallest (x1,x2,x1',x2').
+    The two n^3 parts are filled a block of x1 rows at a time, so memory is
+    quadratic in grid size; min and argmin are exact, so blocking does not
+    change the result.
     """
     n = settings.grid_size
     grid = np.radians(np.arange(n) * settings.grid_step_deg)
@@ -163,52 +157,83 @@ def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSetti
     m1 = np.asarray(marginal(model, speed, 1, grid), dtype=float)
     m2 = np.asarray(marginal(model, speed, 2, grid), dtype=float)
 
-    part_a = p[:, None, :] + p[None, :, :] - m2[None, None, :]     # [i, k, j]
-    part_b = p[None, :, :] - p[:, None, :] - m1[None, :, None]     # [i, k, l]
-    best_j = part_a.argmin(axis=2)   # first occurrence = smallest j on ties
-    best_l = part_b.argmin(axis=2)
-    total = part_a.min(axis=2) + part_b.min(axis=2)
+    best_j = np.empty((n, n), dtype=np.intp)
+    best_l = np.empty((n, n), dtype=np.intp)
+    total = np.empty((n, n))
+    block = max(1, min(n, _GRID_BLOCK_BYTES // (n * n * p.itemsize)))
+    buffer_a, buffer_b = np.empty((block, n, n)), np.empty((block, n, n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        part_a, part_b, p_i = buffer_a[: hi - lo], buffer_b[: hi - lo], p[lo:hi, None, :]
+        np.add(p_i, p, out=part_a)          # [i, k, j]
+        part_a -= m2
+        np.subtract(p, p_i, out=part_b)     # [i, k, l]
+        part_b -= m1[:, None]
+        part_a.argmin(axis=2, out=best_j[lo:hi])   # first occurrence = smallest j on ties
+        part_b.argmin(axis=2, out=best_l[lo:hi])
+        total[lo:hi] = part_a.min(axis=2) + part_b.min(axis=2)
 
-    best = None
-    for i in range(n):
-        for k in range(n):
-            key = (total[i, k], i, int(best_j[i, k]), k, int(best_l[i, k]))
-            if best is None or key < best:
-                best = key
-    _, i, j, k, l = best
-    return AngleQuad(grid[i], grid[j], grid[k], grid[l])
+    rows, cols = np.indices((n, n))
+    first = np.lexsort([a.ravel() for a in (best_l, cols, best_j, rows, total)])[0]
+    i, k = divmod(int(first), n)
+    return AngleQuad(grid[i], grid[best_j[i, k]], grid[k], grid[best_l[i, k]])
 
 
-def _refine(model, speed, settings, start: AngleQuad) -> AngleQuad:
-    objective = _s_raw(model, speed)
-    x0 = np.array(start.as_tuple())
-    step = math.radians(settings.grid_step_deg) / 2.0
-    simplex = np.vstack([x0] + [x0 + step * basis for basis in np.eye(4)])
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "maxiter": settings.max_iterations,
-            "fatol": settings.s_tolerance,
-            "xatol": 1e-8,
-        },
-    )
-    refined = AngleQuad(*(float(a) % TWO_PI for a in result.x))
-    if objective(np.array(refined.as_tuple())) <= objective(x0):
-        return refined
-    return start
+# A first harmonic c0 + c cos(x) + s sin(x) is fixed by its values at three
+# equally spaced angles; rows of _FOURIER turn those values into (c0, c, s).
+_PROBES = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
+_FOURIER = np.array([np.full(3, 1.0), 2.0 * np.cos(_PROBES), 2.0 * np.sin(_PROBES)]) / 3.0
+
+
+def _lowest(values: np.ndarray) -> tuple[float, float]:
+    """Minimizing angle in [0, 2 pi) and minimum of the harmonic through ``values``."""
+    c0, c, s = _FOURIER @ values
+    return math.atan2(-s, -c) % TWO_PI, c0 - math.hypot(c, s)
+
+
+def _value_at(values: np.ndarray, x: float) -> float:
+    """The harmonic through ``values``, evaluated at angle ``x``."""
+    c0, c, s = _FOURIER @ values
+    return c0 + c * math.cos(x) + s * math.sin(x)
+
+
+def _see_saw(model: CorrelationModel, speed: Speed, start: AngleQuad) -> AngleQuad:
+    """Alternate exact minimization over (x2, x2') and (x1, x1') from ``start``.
+
+    With (x1, x1') fixed, S = g(x2) + h(x2') - m1(x1'), and with (x2, x2')
+    fixed, S = k(x1) + l(x1') - m2(x2); every one of g, h, k, l is a first
+    harmonic, so each half sweep sets its two angles to their exact minimizers.
+    S never increases.  A harmonic can be flat (h vanishes whenever
+    x1 = x1'), so a sweep may make a level move off a saddle that the next
+    sweep descends from; the sweeps therefore stop after two in a row fail
+    to lower S, and the best quadruple seen is returned.
+    """
+    x1, x2, x1p, x2p = start.as_tuple()
+    best, best_s = start, s_value(model, speed, start).s_value
+    stalled = 0
+    while stalled < 2:
+        p1, p1p = joint(model, speed, x1, _PROBES), joint(model, speed, x1p, _PROBES)
+        m2 = marginal(model, speed, 2, _PROBES)
+        x2, _ = _lowest(p1 + p1p - m2)
+        x2p, _ = _lowest(p1p - p1)
+        q2, q2p = joint(model, speed, _PROBES, x2), joint(model, speed, _PROBES, x2p)
+        x1, k_min = _lowest(q2 - q2p)
+        x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, _PROBES))
+        s = k_min + l_min - _value_at(m2, x2)
+        if s < best_s:
+            best, best_s, stalled = AngleQuad(x1, x2, x1p, x2p), s, 0
+        else:
+            stalled += 1
+    return best
 
 
 def search_violation(
     model: CorrelationModel, speed: Speed, settings: SearchSettings | None = None
 ) -> ChshResult:
-    """Minimize S over all angle quadruples: coarse grid, then refinement."""
+    """Minimize S over all angle quadruples: coarse grid, then see-saw."""
     settings = settings or SearchSettings()
     coarse = _coarse_minimum(model, speed, settings)
-    refined = _refine(model, speed, settings, coarse)
-    return s_value(model, speed, refined)
+    return s_value(model, speed, _see_saw(model, speed, coarse))
 
 
 def beta_scan(

@@ -16,6 +16,7 @@ import sys
 from typing import Sequence
 
 from .chsh import (
+    TERM_NAMES,
     AngleQuad,
     SearchSettings,
     beta_scan,
@@ -24,14 +25,7 @@ from .chsh import (
     scan_json_payload,
     violation_fraction,
 )
-from .closed_form import (
-    CorrelationModel,
-    coefficients,
-    joint_probability,
-    marginal1_polarized,
-    marginal2_polarized,
-    marginal_unpolarized,
-)
+from .closed_form import CorrelationModel, coefficients, joint_probability, marginal
 from .kinematics import Speed
 from .oracle import DEFAULT_COEFF_TOLERANCE
 from .verification import reference_for, run_verification
@@ -87,10 +81,17 @@ def _kv_lines(pairs) -> str:
     return "".join(f"{key} = {value!r}\n" for key, value in pairs)
 
 
-def _csv_table(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _emit_record(pairs, args) -> int:
+    """Write one record of (name, value) pairs in the chosen format."""
+    if args.format == "json":
+        text = _dump_json(dict(pairs))
+    elif args.format == "csv":
+        cells = [repr(v) if isinstance(v, float) else str(v) for _, v in pairs]
+        text = ",".join(k for k, _ in pairs) + "\n" + ",".join(cells) + "\n"
+    else:
+        text = _kv_lines(pairs)
+    _emit(text, args.out)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +102,7 @@ def _csv_table(columns, rows) -> str:
 def _cmd_coeffs(args) -> int:
     cs = coefficients(Speed(args.beta))
     pairs = [("beta", args.beta), ("rho", cs.rho), ("a", cs.a), ("b", cs.b), ("c", cs.c), ("d", cs.d)]
-    if args.format == "json":
-        _emit(_dump_json(dict(pairs)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_table([k for k, _ in pairs], [[v for _, v in pairs]]), args.out)
-    else:
-        _emit(_kv_lines(pairs), args.out)
-    return 0
+    return _emit_record(pairs, args)
 
 
 def _cmd_prob(args) -> int:
@@ -116,12 +111,6 @@ def _cmd_prob(args) -> int:
     chi1 = math.radians(args.chi1)
     chi2 = math.radians(args.chi2)
     prob = joint_probability(model, speed, chi1, chi2)
-    if model is CorrelationModel.POLARIZED:
-        m1 = float(marginal1_polarized(speed, chi1))
-        m2 = float(marginal2_polarized(speed, chi2))
-    else:
-        m1 = marginal_unpolarized(1)
-        m2 = marginal_unpolarized(2)
     pairs = [
         ("model", model.value),
         ("beta", args.beta),
@@ -129,16 +118,10 @@ def _cmd_prob(args) -> int:
         ("chi2_deg", args.chi2),
         ("P", prob.value),
         ("in_range", prob.in_range),
-        ("marginal_1", m1),
-        ("marginal_2", m2),
+        ("marginal_1", float(marginal(model, speed, 1, chi1))),
+        ("marginal_2", float(marginal(model, speed, 2, chi2))),
     ]
-    if args.format == "json":
-        _emit(_dump_json(dict(pairs)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_table([k for k, _ in pairs], [[v for _, v in pairs]]), args.out)
-    else:
-        _emit(_kv_lines(pairs), args.out)
-    return 0
+    return _emit_record(pairs, args)
 
 
 def _cmd_marginal(args) -> int:
@@ -147,25 +130,11 @@ def _cmd_marginal(args) -> int:
     if args.chi1 is None and args.chi2 is None:
         raise ValueError("marginal needs --chi1 and/or --chi2")
     pairs = [("model", model.value), ("beta", args.beta)]
-    if args.chi1 is not None:
-        if model is CorrelationModel.POLARIZED:
-            value = float(marginal1_polarized(speed, math.radians(args.chi1)))
-        else:
-            value = marginal_unpolarized(1)
-        pairs += [("chi1_deg", args.chi1), ("marginal_1", value)]
-    if args.chi2 is not None:
-        if model is CorrelationModel.POLARIZED:
-            value = float(marginal2_polarized(speed, math.radians(args.chi2)))
-        else:
-            value = marginal_unpolarized(2)
-        pairs += [("chi2_deg", args.chi2), ("marginal_2", value)]
-    if args.format == "json":
-        _emit(_dump_json(dict(pairs)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_table([k for k, _ in pairs], [[v for _, v in pairs]]), args.out)
-    else:
-        _emit(_kv_lines(pairs), args.out)
-    return 0
+    for which, chi in ((1, args.chi1), (2, args.chi2)):
+        if chi is not None:
+            value = float(marginal(model, speed, which, math.radians(chi)))
+            pairs += [(f"chi{which}_deg", chi), (f"marginal_{which}", value)]
+    return _emit_record(pairs, args)
 
 
 def _cmd_chsh(args) -> int:
@@ -185,21 +154,12 @@ def _cmd_chsh(args) -> int:
         if reference is not None:
             print(f"reference: {reference.s_reference}", file=sys.stderr)
     else:
-        lines = [
-            f"model = {model.value!r}",
-            f"beta = {args.beta!r}",
-            f"angles_deg = {tuple(angles_deg)!r}",
-        ]
-        lines += [f"{name} = {value!r}" for name, value in zip(
-            ("joint_11", "joint_12p", "joint_1p2", "joint_1p2p", "marginal_1p", "marginal_2"),
-            result.terms,
-        )]
-        lines.append(f"S = {result.s_value!r}")
-        lines.append(f"violated = {result.violated!r}")
+        pairs = [("model", model.value), ("beta", args.beta), ("angles_deg", tuple(angles_deg))]
+        pairs += zip(TERM_NAMES, result.terms)
+        pairs += [("S", result.s_value), ("violated", result.violated)]
         if reference is not None:
-            lines.append(f"reference = {reference.s_reference!r}")
-            lines.append(f"gap = {abs(result.s_value - reference.s_reference)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+            pairs += [("reference", reference.s_reference), ("gap", payload["gap"])]
+        _emit(_kv_lines(pairs), args.out)
     return 0
 
 

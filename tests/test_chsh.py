@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincorr
+from spincorr import chsh
 from spincorr.chsh import (
     AngleQuad,
     SearchSettings,
+    _coarse_minimum,
     beta_scan,
     is_violation,
     s_value,
@@ -16,7 +23,7 @@ from spincorr.chsh import (
     search_violation,
     violation_fraction,
 )
-from spincorr.closed_form import CorrelationModel
+from spincorr.closed_form import CorrelationModel, joint, marginal
 from spincorr.kinematics import Speed
 
 # Regression pins, hand-derived before the build by six-term evaluation of
@@ -32,6 +39,24 @@ quads = st.builds(AngleQuad, angles, angles, angles, angles)
 models = st.sampled_from(list(CorrelationModel))
 
 CI_SETTINGS = SearchSettings(grid_step_deg=15.0)
+
+# Searched minima from the earlier Nelder-Mead refinement; the see-saw
+# reaches the same minima to roundoff.
+_P, _U = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
+SEARCHED_S_PINS = [
+    (5.0, _P, 0.3, -0.7281987574496541),
+    (5.0, _P, 0.6, -0.7521473334847799),
+    (5.0, _P, 0.9, -0.8909844025787335),
+    (5.0, _U, 0.3, -0.8491085573454673),
+    (5.0, _U, 0.6, -1.1415645642904755),
+    (5.0, _U, 0.9, -1.3642472236297762),
+    (15.0, _P, 0.3, -0.728198757449654),
+    (15.0, _P, 0.6, -0.7521473334847799),
+    (15.0, _P, 0.9, -0.8909844025787335),
+    (15.0, _U, 0.3, -0.8491085573454674),
+    (15.0, _U, 0.6, -1.1415645642904755),
+    (15.0, _U, 0.9, -1.3642472236297762),
+]
 
 
 class TestSValue:
@@ -130,6 +155,68 @@ class TestSearch:
     def test_result_reconstructs(self):
         result = search_violation(CorrelationModel.POLARIZED, Speed(0.9), CI_SETTINGS)
         assert abs(result.recombine() - result.s_value) < 1e-14
+
+    @pytest.mark.parametrize("step,model,beta,expected", SEARCHED_S_PINS)
+    def test_searched_s_pinned(self, step, model, beta, expected):
+        result = search_violation(model, Speed(beta), SearchSettings(grid_step_deg=step))
+        assert result.s_value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
+    def test_one_cell_grid_leaves_saddle(self, beta, expected):
+        # The single cell (0, 0, 0, 0) is a saddle where the first sweep only
+        # makes a level move; the search must carry on to the 5-degree minimum.
+        result = search_violation(_P, Speed(beta), SearchSettings(grid_step_deg=360.0))
+        assert result.s_value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    @pytest.mark.parametrize("beta", (0.3, 0.9))
+    def test_result_is_coordinate_wise_minimum(self, model, beta):
+        speed = Speed(beta)
+        best = search_violation(model, speed, CI_SETTINGS)
+        for which in range(4):
+            for delta in (-1e-3, 1e-3):
+                moved = list(best.angles.as_tuple())
+                moved[which] += delta
+                assert s_value(model, speed, AngleQuad(*moved)).s_value >= best.s_value - 1e-12
+
+
+def _loop_coarse_minimum(model, speed, settings):
+    """Reference grid argmin over whole n^3 arrays, with the tie-break loop np.lexsort replaced."""
+    n = settings.grid_size
+    grid = np.radians(np.arange(n) * settings.grid_step_deg)
+    p = joint(model, speed, grid[:, None], grid[None, :])
+    m1 = np.asarray(marginal(model, speed, 1, grid), dtype=float)
+    m2 = np.asarray(marginal(model, speed, 2, grid), dtype=float)
+    part_a = p[:, None, :] + p[None, :, :] - m2[None, None, :]
+    part_b = p[None, :, :] - p[:, None, :] - m1[None, :, None]
+    best_j, best_l = part_a.argmin(axis=2), part_b.argmin(axis=2)
+    total = part_a.min(axis=2) + part_b.min(axis=2)
+    _, i, j, k, l = min(
+        (total[i, k], i, int(best_j[i, k]), k, int(best_l[i, k])) for i in range(n) for k in range(n)
+    )
+    return AngleQuad(grid[i], grid[j], grid[k], grid[l])
+
+
+@pytest.mark.parametrize("block_rows", (None, 1, 7))   # 7 splits the 36-row grid unevenly
+@pytest.mark.parametrize("step", (10.0, 30.0, 90.0))
+@pytest.mark.parametrize("model", list(CorrelationModel))
+@pytest.mark.parametrize("beta", (0.0, 0.5, 0.95))
+def test_coarse_tie_break_matches_loop(monkeypatch, block_rows, step, model, beta):
+    settings = SearchSettings(grid_step_deg=step)
+    if block_rows is not None:
+        n = settings.grid_size
+        monkeypatch.setattr(chsh, "_GRID_BLOCK_BYTES", block_rows * n * n * 8)
+    expected = _loop_coarse_minimum(model, Speed(beta), settings)
+    assert _coarse_minimum(model, Speed(beta), settings) == expected
+
+
+def test_import_leaves_scipy_unloaded():
+    package_root = str(Path(spincorr.__file__).resolve().parents[1])
+    search_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=search_path)
+    probe = "import sys, spincorr; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBetaScan:

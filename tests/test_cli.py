@@ -15,6 +15,215 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Exact stdout of fixed commands in every format, recorded before the three
+# point subcommands shared one emitter; any change to formatting shows here.
+PINNED_STDOUT = {
+    "coeffs --beta 0.6 --format pretty": (
+        "beta = 0.6\n"
+        "rho = 0.3333333333333333\n"
+        "a = 1.4948148148148148\n"
+        "b = 0.7644444444444444\n"
+        "c = 2.2592592592592595\n"
+        "d = 0.4444444444444444\n"
+    ),
+    "coeffs --beta 0.6 --format json": (
+        "{\n"
+        "  \"beta\": 0.6,\n"
+        "  \"rho\": 0.333333333333333,\n"
+        "  \"a\": 1.49481481481481,\n"
+        "  \"b\": 0.764444444444444,\n"
+        "  \"c\": 2.25925925925926,\n"
+        "  \"d\": 0.444444444444444\n"
+        "}\n"
+    ),
+    "coeffs --beta 0.6 --format csv": (
+        "beta,rho,a,b,c,d\n"
+        "0.6,0.3333333333333333,1.4948148148148148,0.7644444444444444,2.2592592592592595,0.4444444444444444\n"
+    ),
+    "prob --model polarized --beta 0.8 --chi1 30 --chi2 200 --format pretty": (
+        "model = 'polarized'\n"
+        "beta = 0.8\n"
+        "chi1_deg = 30.0\n"
+        "chi2_deg = 200.0\n"
+        "P = 0.4690988851217301\n"
+        "in_range = True\n"
+        "marginal_1 = 0.6843951537216542\n"
+        "marginal_2 = 0.5307448807657295\n"
+    ),
+    "prob --model polarized --beta 0.8 --chi1 30 --chi2 200 --format json": (
+        "{\n"
+        "  \"model\": \"polarized\",\n"
+        "  \"beta\": 0.8,\n"
+        "  \"chi1_deg\": 30.0,\n"
+        "  \"chi2_deg\": 200.0,\n"
+        "  \"P\": 0.46909888512173,\n"
+        "  \"in_range\": true,\n"
+        "  \"marginal_1\": 0.684395153721654,\n"
+        "  \"marginal_2\": 0.530744880765729\n"
+        "}\n"
+    ),
+    "prob --model polarized --beta 0.8 --chi1 30 --chi2 200 --format csv": (
+        "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
+        "polarized,0.8,30.0,200.0,0.4690988851217301,True,0.6843951537216542,0.5307448807657295\n"
+    ),
+    "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format pretty": (
+        "model = 'unpolarized'\n"
+        "beta = 0.9\n"
+        "chi1_deg = 10.0\n"
+        "chi2_deg = 250.0\n"
+        "P = 0.12309413448317588\n"
+        "in_range = True\n"
+        "marginal_1 = 0.5\n"
+        "marginal_2 = 0.5\n"
+    ),
+    "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format json": (
+        "{\n"
+        "  \"model\": \"unpolarized\",\n"
+        "  \"beta\": 0.9,\n"
+        "  \"chi1_deg\": 10.0,\n"
+        "  \"chi2_deg\": 250.0,\n"
+        "  \"P\": 0.123094134483176,\n"
+        "  \"in_range\": true,\n"
+        "  \"marginal_1\": 0.5,\n"
+        "  \"marginal_2\": 0.5\n"
+        "}\n"
+    ),
+    "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format csv": (
+        "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
+        "unpolarized,0.9,10.0,250.0,0.12309413448317588,True,0.5,0.5\n"
+    ),
+    "marginal --model polarized --beta 0.8 --chi1 30 --chi2 45 --format pretty": (
+        "model = 'polarized'\n"
+        "beta = 0.8\n"
+        "chi1_deg = 30.0\n"
+        "marginal_1 = 0.6843951537216542\n"
+        "chi2_deg = 45.0\n"
+        "marginal_2 = 0.4364367447343048\n"
+    ),
+    "marginal --model polarized --beta 0.8 --chi1 30 --chi2 45 --format json": (
+        "{\n"
+        "  \"model\": \"polarized\",\n"
+        "  \"beta\": 0.8,\n"
+        "  \"chi1_deg\": 30.0,\n"
+        "  \"marginal_1\": 0.684395153721654,\n"
+        "  \"chi2_deg\": 45.0,\n"
+        "  \"marginal_2\": 0.436436744734305\n"
+        "}\n"
+    ),
+    "marginal --model polarized --beta 0.8 --chi1 30 --chi2 45 --format csv": (
+        "model,beta,chi1_deg,marginal_1,chi2_deg,marginal_2\n"
+        "polarized,0.8,30.0,0.6843951537216542,45.0,0.4364367447343048\n"
+    ),
+    "marginal --model unpolarized --beta 0.5 --chi2 70 --format pretty": (
+        "model = 'unpolarized'\n"
+        "beta = 0.5\n"
+        "chi2_deg = 70.0\n"
+        "marginal_2 = 0.5\n"
+    ),
+    "marginal --model unpolarized --beta 0.5 --chi2 70 --format json": (
+        "{\n"
+        "  \"model\": \"unpolarized\",\n"
+        "  \"beta\": 0.5,\n"
+        "  \"chi2_deg\": 70.0,\n"
+        "  \"marginal_2\": 0.5\n"
+        "}\n"
+    ),
+    "marginal --model unpolarized --beta 0.5 --chi2 70 --format csv": (
+        "model,beta,chi2_deg,marginal_2\n"
+        "unpolarized,0.5,70.0,0.5\n"
+    ),
+    "chsh --model polarized --beta 0.9 --angles 0,45,69,200 --format pretty": (
+        "model = 'polarized'\n"
+        "beta = 0.9\n"
+        "angles_deg = (0.0, 45.0, 69.0, 200.0)\n"
+        "joint_11 = 0.0838897578353037\n"
+        "joint_12p = 0.4388793715305302\n"
+        "joint_1p2 = 0.2788295890170235\n"
+        "joint_1p2p = 0.5128461356932409\n"
+        "marginal_1p = 0.8206813052294111\n"
+        "marginal_2 = 0.4245918618859834\n"
+        "S = -0.8085870561003566\n"
+        "violated = False\n"
+        "reference = -1.311\n"
+        "gap = 0.5024129438996433\n"
+    ),
+    "chsh --model polarized --beta 0.9 --angles 0,45,69,200 --format json": (
+        "{\n"
+        "  \"beta\": 0.9,\n"
+        "  \"model\": \"polarized\",\n"
+        "  \"angles_deg\": {\n"
+        "    \"chi1\": 0.0,\n"
+        "    \"chi2\": 45.0,\n"
+        "    \"chi1p\": 69.0,\n"
+        "    \"chi2p\": 200.0\n"
+        "  },\n"
+        "  \"terms\": {\n"
+        "    \"joint_11\": 0.0838897578353037,\n"
+        "    \"joint_12p\": 0.43887937153053,\n"
+        "    \"joint_1p2\": 0.278829589017023,\n"
+        "    \"joint_1p2p\": 0.512846135693241,\n"
+        "    \"marginal_1p\": 0.820681305229411,\n"
+        "    \"marginal_2\": 0.424591861885983\n"
+        "  },\n"
+        "  \"S\": -0.808587056100357,\n"
+        "  \"violated\": false,\n"
+        "  \"S_reference\": -1.311,\n"
+        "  \"gap\": 0.502412943899643\n"
+        "}\n"
+    ),
+    "chsh --model polarized --beta 0.9 --angles 0,45,69,200 --format csv": (
+        "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
+        "0.9,polarized,0.0,45.0,69.0,200.0,-0.8085870561003566,false\n"
+    ),
+    "chsh --model unpolarized --beta 0.35 --angles 10,20,30,40 --format pretty": (
+        "model = 'unpolarized'\n"
+        "beta = 0.35\n"
+        "angles_deg = (10.0, 20.0, 30.0, 40.0)\n"
+        "joint_11 = 0.41209649027530104\n"
+        "joint_12p = 0.3873576647253592\n"
+        "joint_1p2 = 0.4023469979113315\n"
+        "joint_1p2p = 0.38921154238300004\n"
+        "marginal_1p = 0.5\n"
+        "marginal_2 = 0.5\n"
+        "S = -0.18370263415572663\n"
+        "violated = False\n"
+    ),
+    "chsh --model unpolarized --beta 0.35 --angles 10,20,30,40 --format json": (
+        "{\n"
+        "  \"beta\": 0.35,\n"
+        "  \"model\": \"unpolarized\",\n"
+        "  \"angles_deg\": {\n"
+        "    \"chi1\": 10.0,\n"
+        "    \"chi2\": 20.0,\n"
+        "    \"chi1p\": 30.0,\n"
+        "    \"chi2p\": 40.0\n"
+        "  },\n"
+        "  \"terms\": {\n"
+        "    \"joint_11\": 0.412096490275301,\n"
+        "    \"joint_12p\": 0.387357664725359,\n"
+        "    \"joint_1p2\": 0.402346997911331,\n"
+        "    \"joint_1p2p\": 0.389211542383,\n"
+        "    \"marginal_1p\": 0.5,\n"
+        "    \"marginal_2\": 0.5\n"
+        "  },\n"
+        "  \"S\": -0.183702634155727,\n"
+        "  \"violated\": false\n"
+        "}\n"
+    ),
+    "chsh --model unpolarized --beta 0.35 --angles 10,20,30,40 --format csv": (
+        "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
+        "0.35,unpolarized,10.0,20.0,29.999999999999996,40.0,-0.18370263415572663,false\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out == PINNED_STDOUT[command]
+
+
 class TestCoeffs:
     def test_rest_frame(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--beta", "0", "--format", "json")
