@@ -9,13 +9,12 @@ all read from the closed-form module for the chosen model.  Local
 hidden-variable theories confine S to [-1, 0]; any value outside that
 interval counts as a violation, in either direction.
 
-The search minimizes S: an exhaustive coarse grid (made cheap by splitting
-the six terms into two parts that share only the primed/unprimed first
-angles) followed by an exact see-saw from the best cell.  Both joint laws
-and the marginals are first harmonics in each angle, so with the first
-angles fixed the best second angles have a closed form, and vice versa; the
-see-saw alternates the two until S stops decreasing.  Everything is
-deterministic; repeated runs give bit-identical results.
+The search minimizes S.  Both joint laws and the marginals are first
+harmonics in each angle, so with the first angles fixed the best second
+angles have a closed form, and vice versa.  A grid over the first angles,
+with the second ones solved exactly in each cell, picks the start of an
+exact see-saw that alternates the two pairs until S stops decreasing.
+Everything is deterministic; repeated runs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -62,13 +61,18 @@ class AngleQuad:
         return tuple(math.degrees(a) % 360.0 for a in self.as_tuple())
 
 
+# Finest coarse grid (0.25 degrees); a search then peaks near 140 MB.
+MAX_GRID_SIZE = 1440
+
+
 @dataclass(frozen=True)
 class SearchSettings:
     """Deterministic search profile.
 
-    The coarse step must divide 360 degrees.  Refinement is an exact
-    see-saw from the best grid cell and runs until S stops decreasing, so
-    the grid step is the only setting.
+    The coarse step must divide 360 degrees into at most MAX_GRID_SIZE
+    angles.  It sets the grid over (x1, x1'), at least three angles each;
+    (x2, x2') and every see-saw step are solved exactly, so the step is the
+    only setting.
     """
 
     grid_step_deg: float = 5.0
@@ -77,7 +81,9 @@ class SearchSettings:
         step = float(self.grid_step_deg)
         if not (math.isfinite(step) and 0.0 < step <= 360.0):
             raise ValueError(f"grid step must be in (0, 360], got {self.grid_step_deg!r}")
-        ratio = 360.0 / step
+        ratio = 360.0 / step   # inf for a subnormal step, so bounded before round()
+        if ratio > MAX_GRID_SIZE + 0.5:
+            raise ValueError(f"grid step {step!r} is below {360.0 / MAX_GRID_SIZE!r} degrees")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"grid step {step!r} does not divide 360 degrees")
         object.__setattr__(self, "grid_step_deg", step)
@@ -135,54 +141,40 @@ def s_value(model: CorrelationModel, speed: Speed, quad: AngleQuad) -> ChshResul
     )
 
 
-# Bytes of one block of the cubic part arrays in _coarse_minimum: small
-# enough that both blocks stay in a core's cache, so a search neither streams
-# n^3 arrays through memory nor maps fresh pages for them.
-_GRID_BLOCK_BYTES = 1 << 19
+def _fourier_rows(grid: np.ndarray) -> np.ndarray:
+    """Rows turning c0 + c cos(x) + s sin(x) at >= 3 equispaced ``grid`` angles into (c0, c, s)."""
+    return np.array([np.ones_like(grid), 2.0 * np.cos(grid), 2.0 * np.sin(grid)]) / grid.size
+
+
+# Three angles are the fewest that fix a first harmonic; they also serve as
+# the coarse grid when the step leaves fewer than three grid angles.
+_PROBES = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
+_FOURIER = _fourier_rows(_PROBES)
 
 
 def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSettings):
-    """Exact 4D grid argmin, decomposed so the work is cubic in grid size.
+    """Grid argmin over (x1, x1'), with (x2, x2') set to their exact minimizers.
 
     For fixed (x1, x1') the x2 and x2' contributions separate:
-    S = [P(x1,x2) + P(x1',x2) - m2(x2)] + [P(x1',x2') - P(x1,x2') - m1(x1')].
-    Ties are broken toward the lexicographically smallest (x1,x2,x1',x2').
-    The two n^3 parts are filled a block of x1 rows at a time, so memory is
-    quadratic in grid size; min and argmin are exact, so blocking does not
-    change the result.
+    S = g(x2) + h(x2') - m1(x1'), with g = P(x1,.) + P(x1',.) - m2 and
+    h = P(x1',.) - P(x1,.).  Both are first harmonics c0 + v.(cos, sin), so
+    each has minimum c0 - |v|, and g0 + h0 depends on x1' alone.  The outer
+    grid has at least three angles, so the harmonics of the square ``joint``
+    table's rows are exact.  Ties go to the lexicographically smallest
+    (x1, x1').  Time and memory are quadratic in grid size.
     """
     n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg)
-    p = joint(model, speed, grid[:, None], grid[None, :])
-    m1 = np.asarray(marginal(model, speed, 1, grid), dtype=float)
-    m2 = np.asarray(marginal(model, speed, 2, grid), dtype=float)
-
-    best_j = np.empty((n, n), dtype=np.intp)
-    best_l = np.empty((n, n), dtype=np.intp)
-    total = np.empty((n, n))
-    block = max(1, min(n, _GRID_BLOCK_BYTES // (n * n * p.itemsize)))
-    buffer_a, buffer_b = np.empty((block, n, n)), np.empty((block, n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        part_a, part_b, p_i = buffer_a[: hi - lo], buffer_b[: hi - lo], p[lo:hi, None, :]
-        np.add(p_i, p, out=part_a)          # [i, k, j]
-        part_a -= m2
-        np.subtract(p, p_i, out=part_b)     # [i, k, l]
-        part_b -= m1[:, None]
-        part_a.argmin(axis=2, out=best_j[lo:hi])   # first occurrence = smallest j on ties
-        part_b.argmin(axis=2, out=best_l[lo:hi])
-        total[lo:hi] = part_a.min(axis=2) + part_b.min(axis=2)
-
-    rows, cols = np.indices((n, n))
-    first = np.lexsort([a.ravel() for a in (best_l, cols, best_j, rows, total)])[0]
-    i, k = divmod(int(first), n)
-    return AngleQuad(grid[i], grid[best_j[i, k]], grid[k], grid[best_l[i, k]])
-
-
-# A first harmonic c0 + c cos(x) + s sin(x) is fixed by its values at three
-# equally spaced angles; rows of _FOURIER turn those values into (c0, c, s).
-_PROBES = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
-_FOURIER = np.array([np.full(3, 1.0), 2.0 * np.cos(_PROBES), 2.0 * np.sin(_PROBES)]) / 3.0
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    fourier = _fourier_rows(grid)
+    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T   # of P(x_i, .)
+    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
+    m1 = marginal(model, speed, 1, grid)
+    gc, gs = c[:, None] + c - m2c, s[:, None] + s - m2s   # [i, k]
+    hc, hs = c - c[:, None], s - s[:, None]
+    total = (2.0 * c0 - m20 - m1) - np.hypot(gc, gs) - np.hypot(hc, hs)
+    i, k = divmod(int(np.argmin(total)), grid.size)   # first occurrence on ties
+    x2, x2p = math.atan2(-gs[i, k], -gc[i, k]), math.atan2(-hs[i, k], -hc[i, k])
+    return AngleQuad(grid[i], x2 % TWO_PI, grid[k], x2p % TWO_PI)
 
 
 def _lowest(values: np.ndarray) -> tuple[float, float]:

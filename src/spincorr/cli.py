@@ -58,15 +58,21 @@ def _parse_model(name: str) -> CorrelationModel:
     return CorrelationModel(name)
 
 
+# Most speeds one scan accepts: a 1e-4 step across [0, 1].
+MAX_SCAN_SPEEDS = 10_001
+
+
 def _parse_beta_range(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"--beta-range expects lo:hi:step, got {spec!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError(f"--beta-range step must be positive, got {step!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    values = [lo + i * step for i in range(count + 1)]
+    if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0 and 0.0 < step < math.inf):
+        raise ValueError(f"--beta-range needs bounds in [0, 1] and a finite step > 0, got {spec!r}")
+    span = (hi - lo) / step + 1e-9   # inf for a tiny step, so bounded before floor()
+    if span >= MAX_SCAN_SPEEDS:
+        raise ValueError(f"--beta-range {spec!r} gives more than {MAX_SCAN_SPEEDS} speeds")
+    values = [lo + i * step for i in range(math.floor(span) + 1)]
     return [v for v in values if v <= hi + 1e-12]
 
 

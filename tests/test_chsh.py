@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import spincorr
 from spincorr import chsh
 from spincorr.chsh import (
+    _FOURIER,
+    _PROBES,
     AngleQuad,
     SearchSettings,
     _coarse_minimum,
+    _see_saw,
     beta_scan,
     is_violation,
     s_value,
@@ -123,6 +126,14 @@ class TestSearchSettings:
         with pytest.raises(ValueError):
             SearchSettings(grid_step_deg=step)
 
+    def test_finest_step_is_quarter_degree(self):
+        assert SearchSettings(grid_step_deg=0.25).grid_size == chsh.MAX_GRID_SIZE == 1440
+
+    @pytest.mark.parametrize("step", (0.2, 1e-300, 5e-324))   # 360 / 5e-324 overflows to inf
+    def test_steps_below_quarter_degree_rejected(self, step):
+        with pytest.raises(ValueError, match="below 0.25 degrees"):
+            SearchSettings(grid_step_deg=step)
+
 
 class TestSearch:
     def test_rest_frame_polarized_cannot_improve(self):
@@ -163,10 +174,32 @@ class TestSearch:
 
     @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
     def test_one_cell_grid_leaves_saddle(self, beta, expected):
-        # The single cell (0, 0, 0, 0) is a saddle where the first sweep only
-        # makes a level move; the search must carry on to the 5-degree minimum.
+        # A 360-degree step leaves one grid angle, fewer than the three that
+        # fix a harmonic, so the outer grid falls back to the three probe
+        # angles; the search must still reach the 5-degree minimum.  The
+        # saddle (0, 0, 0, 0) itself is test_see_saw_leaves_saddle's case.
         result = search_violation(_P, Speed(beta), SearchSettings(grid_step_deg=360.0))
         assert result.s_value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
+    def test_see_saw_leaves_saddle(self, beta, expected):
+        # At (0, 0, 0, 0) the first sweep only makes a level move; the
+        # see-saw must carry on to the 5-degree minimum.
+        quad = _see_saw(_P, Speed(beta), AngleQuad(0.0, 0.0, 0.0, 0.0))
+        assert s_value(_P, Speed(beta), quad).s_value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99))
+    def test_unpolarized_search_reaches_global_optimum(self, beta):
+        # P(x1, x2) = n(x1)^T A n(x2) with n = (1, cos, sin).  With flat
+        # marginals the in-plane optimum is the Horodecki form
+        # 2 A00 - 1 - 2 |A[1:, 1:]|_F, a certificate that no local minimum
+        # was taken for the global one.
+        speed = Speed(beta)
+        a = _FOURIER @ joint(_U, speed, _PROBES[:, None], _PROBES[None, :]) @ _FOURIER.T
+        assert np.abs(a[0, 1:]).max() < 1e-12 and np.abs(a[1:, 0]).max() < 1e-12
+        optimum = 2.0 * a[0, 0] - 1.0 - 2.0 * np.linalg.norm(a[1:, 1:])
+        result = search_violation(_U, speed, SearchSettings(grid_step_deg=5.0))
+        assert result.s_value == pytest.approx(optimum, abs=1e-12)
 
     @pytest.mark.parametrize("model", list(CorrelationModel))
     @pytest.mark.parametrize("beta", (0.3, 0.9))
@@ -181,33 +214,80 @@ class TestSearch:
 
 
 def _loop_coarse_minimum(model, speed, settings):
-    """Reference grid argmin over whole n^3 arrays, with the tie-break loop np.lexsort replaced."""
+    """The full 4-D grid argmin, ties to the smallest (x1, x2, x1', x2').
+
+    This was the coarse search before (x2, x2') were solved exactly; the
+    exact search must never start from a worse point, nor end at one.  The
+    n^3 part arrays are formed one x1 row at a time.
+    """
     n = settings.grid_size
     grid = np.radians(np.arange(n) * settings.grid_step_deg)
     p = joint(model, speed, grid[:, None], grid[None, :])
     m1 = np.asarray(marginal(model, speed, 1, grid), dtype=float)
     m2 = np.asarray(marginal(model, speed, 2, grid), dtype=float)
-    part_a = p[:, None, :] + p[None, :, :] - m2[None, None, :]
-    part_b = p[None, :, :] - p[:, None, :] - m1[None, :, None]
-    best_j, best_l = part_a.argmin(axis=2), part_b.argmin(axis=2)
-    total = part_a.min(axis=2) + part_b.min(axis=2)
-    _, i, j, k, l = min(
-        (total[i, k], i, int(best_j[i, k]), k, int(best_l[i, k])) for i in range(n) for k in range(n)
-    )
+    total, best_j, best_l = np.empty((n, n)), np.empty((n, n), dtype=int), np.empty((n, n), dtype=int)
+    for i in range(n):
+        part_a = p[i] + p - m2              # [k, j]
+        part_b = p - p[i] - m1[:, None]     # [k, l]
+        best_j[i], best_l[i] = part_a.argmin(axis=1), part_b.argmin(axis=1)
+        total[i] = part_a.min(axis=1) + part_b.min(axis=1)
+    ties = zip(*np.nonzero(total == total.min()))
+    _, i, j, k, l = min((total[i, k], i, int(best_j[i, k]), k, int(best_l[i, k])) for i, k in ties)
     return AngleQuad(grid[i], grid[j], grid[k], grid[l])
+
+
+def _loop_exact_coarse_minimum(model, speed, settings, block_rows=None):
+    """The exact coarse argmin with the tie-break loop ``np.argmin`` replaced.
+
+    Cell totals are formed ``block_rows`` x1 rows at a time (None: all at
+    once), with the arithmetic of ``_coarse_minimum``; a Python loop then
+    visits the cells in (x1, x1') order and keeps the first lowest one.
+    """
+    n = settings.grid_size
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    fourier = chsh._fourier_rows(grid)
+    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T
+    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
+    m1 = marginal(model, speed, 1, grid)
+    block, best = block_rows or grid.size, None
+    for lo in range(0, grid.size, block):
+        ci, si = c[lo : lo + block, None], s[lo : lo + block, None]
+        gc, gs, hc, hs = ci + c - m2c, si + s - m2s, c - ci, s - si
+        total = (2.0 * c0 - m20 - m1) - np.hypot(gc, gs) - np.hypot(hc, hs)
+        for r in range(total.shape[0]):
+            for k in range(grid.size):
+                if best is None or total[r, k] < best[0]:
+                    best = (total[r, k], lo + r, k, gc[r, k], gs[r, k], hc[r, k], hs[r, k])
+    _, i, k, gc, gs, hc, hs = best
+    x2, x2p = math.atan2(-gs, -gc) % chsh.TWO_PI, math.atan2(-hs, -hc) % chsh.TWO_PI
+    return AngleQuad(grid[i], x2, grid[k], x2p)
 
 
 @pytest.mark.parametrize("block_rows", (None, 1, 7))   # 7 splits the 36-row grid unevenly
 @pytest.mark.parametrize("step", (10.0, 30.0, 90.0))
 @pytest.mark.parametrize("model", list(CorrelationModel))
 @pytest.mark.parametrize("beta", (0.0, 0.5, 0.95))
-def test_coarse_tie_break_matches_loop(monkeypatch, block_rows, step, model, beta):
+def test_coarse_tie_break_matches_loop(block_rows, step, model, beta):
     settings = SearchSettings(grid_step_deg=step)
-    if block_rows is not None:
-        n = settings.grid_size
-        monkeypatch.setattr(chsh, "_GRID_BLOCK_BYTES", block_rows * n * n * 8)
-    expected = _loop_coarse_minimum(model, Speed(beta), settings)
+    expected = _loop_exact_coarse_minimum(model, Speed(beta), settings, block_rows)
     assert _coarse_minimum(model, Speed(beta), settings) == expected
+
+
+_PARITY_GRIDS = [(2.0, [k / 10 for k in range(11)])] + [
+    (step, [k / 100 for k in range(101)]) for step in (5.0, 15.0, 45.0, 90.0, 180.0, 360.0)
+]
+
+
+@pytest.mark.parametrize("step,betas", _PARITY_GRIDS, ids=[f"{step:g}deg" for step, _ in _PARITY_GRIDS])
+@pytest.mark.parametrize("model", list(CorrelationModel))
+def test_coarse_start_no_worse_than_full_grid(step, betas, model):
+    settings = SearchSettings(grid_step_deg=step)
+    for beta in betas:
+        speed = Speed(beta)
+        new, old = _coarse_minimum(model, speed, settings), _loop_coarse_minimum(model, speed, settings)
+        assert s_value(model, speed, new).s_value <= s_value(model, speed, old).s_value + 1e-12, beta
+        refined = s_value(model, speed, _see_saw(model, speed, new)).s_value
+        assert refined <= s_value(model, speed, _see_saw(model, speed, old)).s_value + 1e-12, beta
 
 
 def test_import_leaves_scipy_unloaded():

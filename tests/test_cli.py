@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spincorr import chsh, cli
 from spincorr.cli import main
 
 PINNED_S_POLARIZED_09 = -0.8085870561003567
@@ -434,6 +435,36 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--model", "polarized")
         assert code == 1
         assert "beta" in err
+
+    # Each bound fails before a speed list or a grid is built: one error
+    # line and exit code 1.  The caps are lowered where a missing bound
+    # would otherwise run a large search.
+    @pytest.mark.parametrize("spec", ("0:inf:1", "nan:1:0.1", "0:1.5:0.1", "0.5:-1:0.1"))
+    def test_beta_range_bounds_outside_unit_interval(self, capsys, spec):
+        code, out, err = run(capsys, "scan", "--model", "polarized", "--beta-range", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "[0, 1]" in err
+
+    @pytest.mark.parametrize("step", ("0", "-0.1", "inf", "nan"))
+    def test_beta_range_step_positive_and_finite(self, capsys, step):
+        code, out, err = run(capsys, "scan", "--model", "polarized", "--beta-range", f"0:1:{step}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "finite step > 0" in err
+
+    def test_beta_range_speed_count_capped(self, capsys, monkeypatch):
+        assert len(cli._parse_beta_range("0:1:0.0001")) == cli.MAX_SCAN_SPEEDS
+        monkeypatch.setattr(cli, "MAX_SCAN_SPEEDS", 4)
+        code, out, err = run(
+            capsys, "scan", "--model", "polarized", "--beta-range", "0:1:0.25", "--grid-step", "90",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "more than 4 speeds" in err
+
+    def test_grid_size_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(chsh, "MAX_GRID_SIZE", 4)
+        code, out, err = run(capsys, "scan", "--model", "polarized", "--beta", "0.5", "--grid-step", "45")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "below 90.0 degrees" in err
 
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
