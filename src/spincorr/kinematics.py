@@ -161,6 +161,52 @@ class UnpolarizedFinalSpinors(NamedTuple):
     v_k2: Spinor4c
 
 
+class FinalSpinorMaps(NamedTuple):
+    """Per-speed (2, 4) maps from measurement two-spinors to final spinors.
+
+    Each map acts on the right of a two-spinor row.  In the polarized layout
+    ubar(k1) = conj(zeta(chi1)) @ first and v(k2) = zeta(chi2) @ second; in
+    the unpolarized one u(k1) = xi(chi1) @ first and v(k2) = xi(chi2) @ second.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+
+
+_I2 = np.eye(2, dtype=complex)
+
+
+def polarized_final_maps(speed: Speed) -> FinalSpinorMaps:
+    """Final-spinor maps of the polarized setup.
+
+    ubar(k1) = (zeta1^dag, rho * zeta1^dag sigma_3) and
+    v(k2) = (rho * sigma_3 zeta2, zeta2), up to overall constants that
+    cancel in probabilities.  sigma_3 is symmetric, so one block serves both.
+    """
+    require_subluminal(speed)
+    r = speed.rho
+    return FinalSpinorMaps(
+        np.concatenate([_I2, r * PAULI[2]], axis=1),
+        np.concatenate([r * PAULI[2], _I2], axis=1),
+    )
+
+
+def unpolarized_final_maps(speed: Speed) -> FinalSpinorMaps:
+    """Final-spinor maps of the unpolarized setup.
+
+    u(k1) = N (xi1, rho * sigma_1 xi1) and v(k2) = N (-rho * sigma_1 xi2, xi2)
+    with the standard normalization N = sqrt((k0 + m)/2m).  sigma_1 is
+    symmetric, so one block serves both.
+    """
+    require_subluminal(speed)
+    r = speed.rho
+    scale = math.sqrt((speed.gamma + 1.0) / 2.0)
+    return FinalSpinorMaps(
+        scale * np.concatenate([_I2, r * PAULI[0]], axis=1),
+        scale * np.concatenate([-r * PAULI[0], _I2], axis=1),
+    )
+
+
 def polarized_initial_spinors(speed: Speed) -> InitialSpinors:
     """Spin-up electron and spin-down positron spinors of the polarized setup.
 
@@ -178,35 +224,24 @@ def polarized_initial_spinors(speed: Speed) -> InitialSpinors:
 def polarized_final_spinors(speed: Speed, chi1, chi2) -> PolarizedFinalSpinors:
     """Emerging-pair spinors for the polarized setup, measurement angles chi1, chi2.
 
-    ubar(k1) = (zeta1^dag, rho * zeta1^dag sigma_3) as a row and
-    v(k2) = (rho * sigma_3 zeta2, zeta2) as a column, again up to overall
-    constants that cancel in probabilities.  Array angles add leading axes;
+    The :func:`polarized_final_maps` applied to zeta(chi1) and zeta(chi2):
+    ubar(k1) as a row and v(k2) as a column.  Array angles add leading axes;
     the spinor index is always the last one.
     """
-    require_subluminal(speed)
-    r = speed.rho
-    z1 = zeta(chi1)
-    z2 = zeta(chi2)
-    ubar_k1 = np.concatenate([z1.conj(), r * (z1.conj() @ PAULI[2])], axis=-1)
-    v_k2 = np.concatenate([r * (z2 @ PAULI[2].T), z2], axis=-1)
-    return PolarizedFinalSpinors(ubar_k1, v_k2)
+    maps = polarized_final_maps(speed)
+    return PolarizedFinalSpinors(zeta(chi1).conj() @ maps.first, zeta(chi2) @ maps.second)
 
 
 def unpolarized_final_spinors(speed: Speed, chi1, chi2) -> UnpolarizedFinalSpinors:
     """Emerging-pair spinors for the unpolarized setup (pair along +/- x).
 
-    These carry the standard normalization sqrt((k0 + m)/2m), which makes
+    The :func:`unpolarized_final_maps` applied to xi(chi1) and xi(chi2).
+    They carry the standard normalization sqrt((k0 + m)/2m), which makes
     ubar(k1) u(k1) = +1 and vbar(k2) v(k2) = -1 in natural units.  Array
     angles add leading axes, as in :func:`polarized_final_spinors`.
     """
-    require_subluminal(speed)
-    r = speed.rho
-    scale = math.sqrt((speed.gamma + 1.0) / 2.0)
-    x1 = xi(chi1)
-    x2 = xi(chi2)
-    u_k1 = scale * np.concatenate([x1, r * (x1 @ PAULI[0].T)], axis=-1)
-    v_k2 = scale * np.concatenate([-r * (x2 @ PAULI[0].T), x2], axis=-1)
-    return UnpolarizedFinalSpinors(u_k1, v_k2)
+    maps = unpolarized_final_maps(speed)
+    return UnpolarizedFinalSpinors(xi(chi1) @ maps.first, xi(chi2) @ maps.second)
 
 
 def unpolarized_initial_basis(speed: Speed) -> tuple[np.ndarray, np.ndarray]:

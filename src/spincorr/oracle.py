@@ -13,10 +13,16 @@ from :mod:`spincorr.closed_form`:
 
 All three routes take scalar or array angles.  Scalar angles give a Python
 ``complex`` or ``float``; arrays broadcast against each other and give an
-array of that shape.  Momenta, invariants, initial spinors and the
-angle-independent trace blocks are built once per ``Speed`` object and kept
-while it is alive, so the fits and the cross check, which call a route once
-per angle pair, pay only for the angle-dependent spinors and contractions.
+array of that shape.  Each route is linear in every final spinor and
+final adjoint it contains, and each of those is a fixed per-speed linear
+map of a measurement two-spinor or of its conjugate (the
+:mod:`~spincorr.kinematics` final-spinor maps).  So all of the
+angle-independent Dirac algebra (momenta, invariants, initial spinors,
+gamma matrices, traces and the channel weights s and t) folds into a small
+kernel over the two-spinors.  The kernels are built once per ``Speed``
+object and kept while it is alive; a route call, which the fits and the
+cross check make once per angle pair, builds only the two two-spinors and
+contracts them with a kernel of at most 16 entries.
 
 Both amplitude-level routes return the propagator-cleared combination (the
 raw channel denominators are multiplied out).  At fixed speed that is an
@@ -44,15 +50,16 @@ from .closed_form import CorrelationModel, coefficients, unpolarized_coefficient
 from .dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from .kinematics import (
     Config,
-    Invariants,
     Speed,
     invariants,
     momenta,
-    polarized_final_spinors,
+    polarized_final_maps,
     polarized_initial_spinors,
     require_subluminal,
-    unpolarized_final_spinors,
+    unpolarized_final_maps,
     unpolarized_initial_basis,
+    xi,
+    zeta,
 )
 
 _SIGNS = np.array(METRIC_SIGNS)
@@ -69,17 +76,7 @@ VALIDATION_GRID_N = 24
 
 
 class FitError(RuntimeError):
-    """Raised when the fit design matrix stays singular after re-sampling."""
-
-
-def _contract(vertex_a: np.ndarray, vertex_b: np.ndarray) -> np.ndarray:
-    """Minkowski contraction of two four-vectors of vertex values (last axis)."""
-    return np.add.reduce(_SIGNS * vertex_a * vertex_b, axis=-1)
-
-
-def _vertex(rbar: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """All four values rbar gamma^mu column, indexed by mu on the last axis."""
-    return np.einsum("...a,mab,...b->...m", rbar, GAMMA_STACK, column)
+    """Raised when the fit design matrix is rank deficient."""
 
 
 def _point_or_batch(values: np.ndarray, kind: type):
@@ -91,7 +88,7 @@ def _per_speed(build):
     """Memoize ``build(speed)`` for as long as that ``Speed`` object is alive.
 
     A fit or a cross check calls a route once per angle pair with one
-    ``Speed``; the angle-independent blocks are built on the first call.
+    ``Speed``; the kernels are built on the first call.
     """
     memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -112,49 +109,74 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 class _PolarizedBlocks(NamedTuple):
-    inv: Invariants
-    u_p1: np.ndarray
-    vbar_p2: np.ndarray
-    initial_ann: np.ndarray   # vbar(p2) gamma^mu u(p1)
+    amplitude: np.ndarray     # (2, 2): axes (conj zeta1, zeta2)
 
 
 class _UnpolarizedBlocks(NamedTuple):
-    inv: Invariants
-    us: np.ndarray            # (2, 4): electron basis states u_i(p1)
-    vbars: np.ndarray         # (2, 4): positron basis states vbar_j(p2)
-    initial_ann: np.ndarray   # (2, 2, 4): vbar_j(p2) gamma^mu u_i(p1), axes (i, j, mu)
-    traces: np.ndarray        # (3, 4, 4): trace_1..trace_3 of the trace expression
-    u_gammas: np.ndarray      # gamma^m (m - p1slash) gamma^s, axes (m, s, a, d)
-    v_gammas: np.ndarray      # gamma^s (p2slash + m) gamma^m, axes (s, m, a, d)
+    amplitudes: np.ndarray    # (2, 2, 2, 2): axes (i, j, conj xi1, xi2)
+    trace: np.ndarray         # (2, 2, 2, 2): axes (conj xi1, xi2, conj xi2, xi1)
 
 
 @_per_speed
 def _polarized_blocks(speed: Speed) -> _PolarizedBlocks:
-    inv = invariants(momenta(Config.POLARIZED_AXES, speed))
+    s, t = invariants(momenta(Config.POLARIZED_AXES, speed))
     u_p1, vbar_p2 = polarized_initial_spinors(speed)
-    initial_ann = _vertex(vbar_p2, u_p1)
-    _read_only(u_p1, vbar_p2, initial_ann)
-    return _PolarizedBlocks(inv, u_p1, vbar_p2, initial_ann)
+    ubar_k1, v_k2 = polarized_final_maps(speed)
+    v_k2 = v_k2.T  # (4, 2): columns act on the two-spinor
+    # Vertex values, axes (mu, ...); a final spinor leaves its two-spinor axis.
+    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2         # ubar(k1) gamma^mu v(k2)
+    initial_ann = vbar_p2 @ GAMMA_STACK @ u_p1       # vbar(p2) gamma^mu u(p1)
+    electron = ubar_k1 @ GAMMA_STACK @ u_p1          # ubar(k1) gamma^mu u(p1)
+    positron = vbar_p2 @ GAMMA_STACK @ v_k2          # vbar(p2) gamma^mu v(k2)
+    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
+    exchange = (_SIGNS[:, np.newaxis] * electron).T @ positron
+    amplitude = t * annihilation - s * exchange
+    _read_only(amplitude)
+    return _PolarizedBlocks(amplitude)
 
 
 @_per_speed
 def _unpolarized_blocks(speed: Speed) -> _UnpolarizedBlocks:
     ms = momenta(Config.UNPOLARIZED_AXES, speed)
+    s, t = invariants(ms)
     us, vbars = unpolarized_initial_basis(speed)
-    initial_ann = _vertex(vbars[np.newaxis, :, :], us[:, np.newaxis, :])
+    u_k1, v_k2 = unpolarized_final_maps(speed)
+    ubar_k1, vbar_k2 = dirac_adjoint(u_k1), dirac_adjoint(v_k2)
+    u_k1, v_k2 = u_k1.T, v_k2.T  # (4, 2): columns act on the two-spinor
 
+    # Spin average, axes (i, j, ...): electron basis state i, positron basis state j.
+    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2                       # (mu, a, b)
+    initial_ann = np.einsum("ja,mab,ib->ijm", vbars, GAMMA_STACK, us)
+    electron = ubar_k1 @ GAMMA_STACK @ us.T                        # (mu, a, i)
+    positron = vbars @ GAMMA_STACK @ v_k2                          # (mu, j, b)
+    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
+    exchange = np.einsum("m,mai,mjb->ijab", _SIGNS, electron, positron)
+    amplitudes = t * annihilation - s * exchange
+
+    # Trace expression: b^mu = ubar(k1) gamma^mu v(k2), which is final_ann,
+    # and c^sigma = vbar(k2) gamma^sigma u(k1) carry the first three terms,
+    # ubar(k1) gamma^mu (m - p1slash) gamma^sigma u(k1) times
+    # vbar(k2) gamma^sigma (p2slash + m) gamma^mu v(k2) the fourth.
     eye = np.eye(4, dtype=complex)
     p2_plus = slash(ms.p2) + ms.m * eye
     p1_minus = ms.m * eye - slash(ms.p1)
-    traces = np.stack([
-        np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus),
-        np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK),
-        np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus),
-    ])
-    u_gammas = np.einsum("mab,bc,scd->msad", GAMMA_STACK, p1_minus, GAMMA_STACK)
-    v_gammas = np.einsum("sab,bc,mcd->smad", GAMMA_STACK, p2_plus, GAMMA_STACK)
-    _read_only(us, vbars, initial_ann, traces, u_gammas, v_gammas)
-    return _UnpolarizedBlocks(invariants(ms), us, vbars, initial_ann, traces, u_gammas, v_gammas)
+    trace_1 = np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus)
+    trace_2 = np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK)
+    trace_3 = np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus)
+    c_sigma = vbar_k2 @ GAMMA_STACK @ u_k1                         # (sigma, c, d)
+    # One (mu, sigma) weight for terms 1-3; trace_1 is indexed (sigma, mu).
+    weights = t * t * (_WEIGHTS * trace_1).T - s * t * _WEIGHTS * (trace_2 + trace_3)
+    bilinear_terms = np.tensordot(final_ann, np.tensordot(weights, c_sigma, axes=1), axes=(0, 0))
+    gammas = GAMMA_STACK[:, np.newaxis]
+    u_block = ubar_k1 @ (gammas @ p1_minus @ GAMMA_STACK) @ u_k1     # (mu, sigma, a, d)
+    v_block = vbar_k2 @ (gammas @ p2_plus @ GAMMA_STACK) @ v_k2      # (sigma, mu, c, b)
+    fourth_term = np.tensordot(
+        _WEIGHTS[:, :, np.newaxis, np.newaxis] * u_block, v_block.transpose(1, 0, 2, 3),
+        axes=([0, 1], [0, 1]),
+    ).transpose(0, 3, 2, 1)
+    trace = bilinear_terms + s * s * fourth_term
+    _read_only(amplitudes, trace)
+    return _UnpolarizedBlocks(amplitudes, trace)
 
 
 def amplitude_polarized(speed: Speed, chi1, chi2):
@@ -163,14 +185,14 @@ def amplitude_polarized(speed: Speed, chi1, chi2):
     Returns t*X - s*Y where X is the annihilation-channel numerator, Y the
     exchange-channel numerator, and (s, t) the channel denominators; this is
     the amplitude X/s - Y/t rescaled by the angle-independent factor s*t.
+    Both numerators are bilinear in the final spinors, so the per-speed
+    kernel K holds them and the value is conj(zeta(chi1)) K zeta(chi2).
     Scalar angles give a ``complex``; array angles broadcast.
     """
     require_subluminal(speed)
-    inv, u_p1, vbar_p2, initial_ann = _polarized_blocks(speed)
-    ubar_k1, v_k2 = polarized_final_spinors(speed, chi1, chi2)
-    annihilation = _contract(initial_ann, _vertex(ubar_k1, v_k2))
-    exchange = _contract(_vertex(ubar_k1, u_p1), _vertex(vbar_p2, v_k2))
-    return _point_or_batch(inv.t * annihilation - inv.s * exchange, complex)
+    kernel = _polarized_blocks(speed).amplitude
+    value = np.einsum("...a,ab,...b->...", zeta(chi1).conj(), kernel, zeta(chi2))
+    return _point_or_batch(value, complex)
 
 
 def spin_average_oracle(speed: Speed, chi1, chi2):
@@ -179,19 +201,13 @@ def spin_average_oracle(speed: Speed, chi1, chi2):
     Uses the same propagator-cleared combination as
     :func:`amplitude_polarized`, with the unpolarized-setup momenta and
     final spinors.  Second, independent route to the unpolarized intensity.
+    The amplitude for initial basis states (i, j) is
+    conj(xi(chi1)) K_ij xi(chi2), with the kernels K_ij built per speed.
     Scalar angles give a ``float``; array angles broadcast.
     """
     require_subluminal(speed)
-    blocks = _unpolarized_blocks(speed)
-    u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
-    ubar_k1 = dirac_adjoint(u_k1)
-    # Axes (..., i, j, mu): electron basis state i, positron basis state j.
-    final_ann = _vertex(ubar_k1, v_k2)[..., np.newaxis, np.newaxis, :]
-    electron_ex = _vertex(ubar_k1[..., np.newaxis, :], blocks.us)[..., :, np.newaxis, :]
-    positron_ex = _vertex(blocks.vbars, v_k2[..., np.newaxis, :])[..., np.newaxis, :, :]
-    annihilation = _contract(blocks.initial_ann, final_ann)
-    exchange = _contract(electron_ex, positron_ex)
-    amplitude = blocks.inv.t * annihilation - blocks.inv.s * exchange
+    kernel = _unpolarized_blocks(speed).amplitudes
+    amplitude = np.einsum("...a,ijab,...b->...ij", xi(chi1).conj(), kernel, xi(chi2))
     total = np.add.reduce(abs(amplitude) ** 2, axis=(-2, -1))
     return _point_or_batch(total / 4.0, float)
 
@@ -199,29 +215,17 @@ def spin_average_oracle(speed: Speed, chi1, chi2):
 def quad_unpolarized_complex(speed: Speed, chi1, chi2):
     """Verbatim four-term trace expression, denominators cleared by (s*t)^2.
 
-    The assembled value must come out real; the imaginary part is kept as a
-    numerical diagnostic.  Scalar angles give a ``complex``; array angles
-    broadcast.
+    The expression is quadratic in each final spinor, so the four terms,
+    with their t^2, -st and s^2 weights, fold into one per-speed tensor over
+    (conj xi(chi1), xi(chi2), conj xi(chi2), xi(chi1)).  The assembled value
+    must come out real; the imaginary part is kept as a numerical
+    diagnostic.  Scalar angles give a ``complex``; array angles broadcast.
     """
     require_subluminal(speed)
-    blocks = _unpolarized_blocks(speed)
-    trace_1, trace_2, trace_3 = blocks.traces
-    u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
-    ubar_k1 = dirac_adjoint(u_k1)
-    vbar_k2 = dirac_adjoint(v_k2)
-
-    b_mu = _vertex(ubar_k1, v_k2)   # ubar(k1) gamma^mu v(k2)
-    c_sigma = _vertex(vbar_k2, u_k1)  # vbar(k2) gamma^sigma u(k1)
-    u_block = np.einsum("...a,msad,...d->...ms", ubar_k1, blocks.u_gammas, u_k1)
-    v_block = np.einsum("...a,smad,...d->...sm", vbar_k2, blocks.v_gammas, v_k2)
-
-    term_1 = np.einsum("sm,sm,...m,...s->...", _WEIGHTS, trace_1, b_mu, c_sigma)
-    term_2 = np.einsum("ms,ms,...s,...m->...", _WEIGHTS, trace_2, c_sigma, b_mu)
-    term_3 = np.einsum("ms,ms,...m,...s->...", _WEIGHTS, trace_3, b_mu, c_sigma)
-    term_4 = np.einsum("ms,...ms,...sm->...", _WEIGHTS, u_block, v_block)
-
-    s, t = blocks.inv.s, blocks.inv.t
-    return _point_or_batch(term_1 * t * t - (term_2 + term_3) * s * t + term_4 * s * s, complex)
+    kernel = _unpolarized_blocks(speed).trace
+    xi1, xi2 = xi(chi1), xi(chi2)
+    value = np.einsum("...a,...b,...c,...d,abcd->...", xi1.conj(), xi2, xi2.conj(), xi1, kernel)
+    return _point_or_batch(value, complex)
 
 
 def quad_unpolarized(speed: Speed, chi1, chi2):
@@ -381,23 +385,23 @@ def _unpolarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
     )
 
 
-_JITTER = 0.1711170071  # deterministic re-sample offset for degenerate fits
+# The fit points, their design matrices and the validation grid are fixed.
+_FIT_POINTS = fit_sample_angles()
+_read_only(_FIT_POINTS)
+_FIT_CHI1, _FIT_CHI2 = _FIT_POINTS.T
+_POLARIZED_DESIGN = _polarized_design(_FIT_CHI1, _FIT_CHI2)
+_UNPOLARIZED_DESIGN = _unpolarized_design(_FIT_CHI1, _FIT_CHI2)
+_VALIDATION_GRID = validation_grid()
+_read_only(_POLARIZED_DESIGN, _UNPOLARIZED_DESIGN, *_VALIDATION_GRID)
 
 
-def _solve_design(design_fn, sample_fn, min_rank: int):
-    """Least squares on the template design; returns (solution, chi1, chi2, values)."""
-    points = fit_sample_angles()
-    for attempt in range(2):
-        chi1, chi2 = points[:, 0], points[:, 1]
-        values = np.array([sample_fn(a, b) for a, b in zip(chi1, chi2)])
-        design = design_fn(chi1, chi2)
-        solution, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-        if rank >= min_rank:
-            return solution, chi1, chi2, values
-        points = points + _JITTER * (attempt + 1)
-    raise FitError(
-        f"fit design matrix is rank deficient (rank {rank} < {min_rank}) even after re-sampling"
-    )
+def _solve_design(design: np.ndarray, sample_fn, min_rank: int):
+    """Least squares of the oracle at the fit points; returns (solution, values)."""
+    values = np.array([sample_fn(a, b) for a, b in zip(_FIT_CHI1, _FIT_CHI2)])
+    solution, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < min_rank:
+        raise FitError(f"fit design matrix is rank deficient (rank {rank} < {min_rank})")
+    return solution, values
 
 
 def _projection_scale(fitted: np.ndarray, reference: np.ndarray) -> float:
@@ -413,7 +417,7 @@ def _finish_fit(model, coeffs, reference, sample_fn) -> TrigFit:
         rel_residual=0.0,
         scale=_projection_scale(np.asarray(coeffs, dtype=float), np.asarray(reference)),
     )
-    grid1, grid2 = validation_grid()
+    grid1, grid2 = _VALIDATION_GRID
     sampled = np.array(
         [sample_fn(a, b) for a, b in zip(grid1.ravel(), grid2.ravel())]
     ).reshape(grid1.shape)
@@ -429,8 +433,8 @@ def fit_polarized(speed: Speed) -> TrigFit:
     reconstructs the bracket weights, and validates on a disjoint grid.
     """
     sample = lambda a, b: abs(amplitude_polarized(speed, a, b)) ** 2
-    monomials, chi1, chi2, values = _solve_design(_polarized_design, sample, min_rank=5)
-    coeffs = _reconstruct_brackets(monomials, chi1, chi2, values)
+    monomials, values = _solve_design(_POLARIZED_DESIGN, sample, min_rank=5)
+    coeffs = _reconstruct_brackets(monomials, _FIT_CHI1, _FIT_CHI2, values)
     return _finish_fit(
         CorrelationModel.POLARIZED, coeffs, coefficients(speed).as_tuple(), sample
     )
@@ -439,7 +443,7 @@ def fit_polarized(speed: Speed) -> TrigFit:
 def fit_unpolarized(speed: Speed) -> TrigFit:
     """Fit the spin-averaged oracle to the three-term unpolarized template."""
     sample = lambda a, b: spin_average_oracle(speed, a, b)
-    coeffs, *_ = _solve_design(_unpolarized_design, sample, min_rank=3)
+    coeffs, _ = _solve_design(_UNPOLARIZED_DESIGN, sample, min_rank=3)
     return _finish_fit(
         CorrelationModel.UNPOLARIZED, coeffs, unpolarized_coefficients(speed), sample
     )

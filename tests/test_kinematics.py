@@ -12,9 +12,11 @@ from spincorr.kinematics import (
     Speed,
     invariants,
     momenta,
+    polarized_final_maps,
     polarized_final_spinors,
     polarized_initial_spinors,
     rho,
+    unpolarized_final_maps,
     unpolarized_final_spinors,
     unpolarized_initial_basis,
     xi,
@@ -207,6 +209,25 @@ class TestUnpolarizedSpinors:
         assert dirac_adjoint(us[1]) @ us[1] == pytest.approx(1.0, abs=1e-10)
         # adjoints of the two v spinors annihilate the opposite-spin electron state
         assert abs(dirac_adjoint(us[0]) @ us[1]) < 1e-12
+
+
+class TestFinalSpinorMaps:
+    def test_polarized_maps_at_beta_06(self):
+        r = 1.0 / 3.0
+        ubar_k1, v_k2 = polarized_final_maps(Speed(0.6))
+        np.testing.assert_allclose(ubar_k1, [[1, 0, r, 0], [0, 1, 0, -r]], atol=1e-15)
+        np.testing.assert_allclose(v_k2, [[r, 0, 1, 0], [0, -r, 0, 1]], atol=1e-15)
+
+    def test_unpolarized_maps_at_beta_06(self):
+        r, scale = 1.0 / 3.0, math.sqrt(1.125)
+        u_k1, v_k2 = unpolarized_final_maps(Speed(0.6))
+        np.testing.assert_allclose(u_k1 / scale, [[1, 0, 0, r], [0, 1, r, 0]], atol=1e-15)
+        np.testing.assert_allclose(v_k2 / scale, [[0, -r, 1, 0], [-r, 0, 0, 1]], atol=1e-15)
+
+    @pytest.mark.parametrize("maps", (polarized_final_maps, unpolarized_final_maps))
+    def test_maps_reject_near_lightlike(self, maps):
+        with pytest.raises(ValueError, match="Lorentz factor"):
+            maps(Speed(BETA_ORACLE_MAX + 1e-9))
 
 
 class TestBatchedFinalSpinors:

@@ -5,7 +5,20 @@ import pytest
 
 from spincorr.closed_form import CorrelationModel, f_polarized
 from spincorr import oracle
-from spincorr.kinematics import BETA_ORACLE_MAX, Speed, xi, zeta
+from spincorr.dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
+from spincorr.kinematics import (
+    BETA_ORACLE_MAX,
+    Config,
+    Speed,
+    invariants,
+    momenta,
+    polarized_final_spinors,
+    polarized_initial_spinors,
+    unpolarized_final_spinors,
+    unpolarized_initial_basis,
+    xi,
+    zeta,
+)
 from spincorr.oracle import (
     ConsistencyReport,
     amplitude_polarized,
@@ -21,6 +34,73 @@ from spincorr.oracle import (
 )
 
 FIT_BETAS = (0.2, 0.5, 0.8)
+
+_SIGNS = np.array(METRIC_SIGNS)
+
+
+def _contract(vertex_a, vertex_b):
+    """Minkowski contraction of two four-vectors of vertex values (last axis)."""
+    return np.add.reduce(_SIGNS * vertex_a * vertex_b, axis=-1)
+
+
+def _vertex(rbar, column):
+    """All four values rbar gamma^mu column, indexed by mu on the last axis."""
+    return np.einsum("...a,mab,...b->...m", rbar, GAMMA_STACK, column)
+
+
+def _reference_amplitude_polarized(speed, chi1, chi2):
+    """The polarized route from explicit four-spinors at every angle pair."""
+    inv = invariants(momenta(Config.POLARIZED_AXES, speed))
+    u_p1, vbar_p2 = polarized_initial_spinors(speed)
+    ubar_k1, v_k2 = polarized_final_spinors(speed, chi1, chi2)
+    annihilation = _contract(_vertex(vbar_p2, u_p1), _vertex(ubar_k1, v_k2))
+    exchange = _contract(_vertex(ubar_k1, u_p1), _vertex(vbar_p2, v_k2))
+    return inv.t * annihilation - inv.s * exchange
+
+
+def _reference_spin_average(speed, chi1, chi2):
+    """The spin average from explicit four-spinors at every angle pair."""
+    inv = invariants(momenta(Config.UNPOLARIZED_AXES, speed))
+    us, vbars = unpolarized_initial_basis(speed)
+    u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
+    ubar_k1 = dirac_adjoint(u_k1)
+    # Axes (..., i, j, mu): electron basis state i, positron basis state j.
+    initial_ann = _vertex(vbars[np.newaxis, :, :], us[:, np.newaxis, :])
+    final_ann = _vertex(ubar_k1, v_k2)[..., np.newaxis, np.newaxis, :]
+    electron_ex = _vertex(ubar_k1[..., np.newaxis, :], us)[..., :, np.newaxis, :]
+    positron_ex = _vertex(vbars, v_k2[..., np.newaxis, :])[..., np.newaxis, :, :]
+    annihilation = _contract(initial_ann, final_ann)
+    exchange = _contract(electron_ex, positron_ex)
+    amplitude = inv.t * annihilation - inv.s * exchange
+    return np.add.reduce(abs(amplitude) ** 2, axis=(-2, -1)) / 4.0
+
+
+def _reference_trace_expression(speed, chi1, chi2):
+    """The four-term trace expression from explicit four-spinors at every angle pair."""
+    ms = momenta(Config.UNPOLARIZED_AXES, speed)
+    s, t = invariants(ms)
+    eye = np.eye(4, dtype=complex)
+    p2_plus = slash(ms.p2) + ms.m * eye
+    p1_minus = ms.m * eye - slash(ms.p1)
+    trace_1 = np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus)
+    trace_2 = np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK)
+    trace_3 = np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus)
+    u_gammas = np.einsum("mab,bc,scd->msad", GAMMA_STACK, p1_minus, GAMMA_STACK)
+    v_gammas = np.einsum("sab,bc,mcd->smad", GAMMA_STACK, p2_plus, GAMMA_STACK)
+
+    u_k1, v_k2 = unpolarized_final_spinors(speed, chi1, chi2)
+    ubar_k1, vbar_k2 = dirac_adjoint(u_k1), dirac_adjoint(v_k2)
+    b_mu = _vertex(ubar_k1, v_k2)
+    c_sigma = _vertex(vbar_k2, u_k1)
+    u_block = np.einsum("...a,msad,...d->...ms", ubar_k1, u_gammas, u_k1)
+    v_block = np.einsum("...a,smad,...d->...sm", vbar_k2, v_gammas, v_k2)
+
+    weights = np.outer(_SIGNS, _SIGNS)
+    term_1 = np.einsum("sm,sm,...m,...s->...", weights, trace_1, b_mu, c_sigma)
+    term_2 = np.einsum("ms,ms,...s,...m->...", weights, trace_2, c_sigma, b_mu)
+    term_3 = np.einsum("ms,ms,...m,...s->...", weights, trace_3, b_mu, c_sigma)
+    term_4 = np.einsum("ms,...ms,...sm->...", weights, u_block, v_block)
+    return term_1 * t * t - (term_2 + term_3) * s * t + term_4 * s * s
 
 
 def _random_inputs(n, seed, beta_max=0.95):
@@ -291,5 +371,59 @@ class TestBatchedRoutes:
         for blocks_of in (oracle._polarized_blocks, oracle._unpolarized_blocks):
             blocks = blocks_of(speed)
             assert blocks_of(speed) is blocks
-            for array in blocks[1:]:
+            assert len(blocks) >= 1
+            for array in blocks:
+                assert isinstance(array, np.ndarray)
                 assert not array.flags.writeable
+
+    def test_fit_constants_are_read_only(self):
+        for array in (
+            oracle._FIT_CHI1,
+            oracle._FIT_CHI2,
+            oracle._POLARIZED_DESIGN,
+            oracle._UNPOLARIZED_DESIGN,
+            *oracle._VALIDATION_GRID,
+        ):
+            assert not array.flags.writeable
+
+
+REFERENCES = (
+    (amplitude_polarized, _reference_amplitude_polarized),
+    (spin_average_oracle, _reference_spin_average),
+    (quad_unpolarized_complex, _reference_trace_expression),
+)
+
+
+class TestKernelParity:
+    """Each per-speed kernel route against the explicit four-spinor route."""
+
+    @pytest.mark.parametrize(
+        "beta, rtol",
+        [(0.0, 1e-12), (0.3, 1e-12), (0.5, 1e-12), (0.9, 1e-12), (0.99, 1e-12),
+         # The amplitude cancels like gamma^2 at the oracle's speed ceiling.
+         (BETA_ORACLE_MAX, 1e-9)],
+    )
+    @pytest.mark.parametrize("route, reference", REFERENCES, ids=lambda fn: fn.__name__)
+    def test_kernel_route_matches_four_spinor_route(self, route, reference, beta, rtol):
+        rng = np.random.default_rng(53)
+        chi1, chi2 = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(2, 200))
+        speed = Speed(beta)
+        expected = reference(speed, chi1, chi2)
+        scale = float(np.max(np.abs(expected)))
+        assert scale > 0.0
+        np.testing.assert_allclose(route(speed, chi1, chi2), expected, rtol=rtol, atol=rtol * scale)
+
+
+class TestFitDesign:
+    def test_design_ranks_at_the_fixed_fit_points(self):
+        assert np.linalg.matrix_rank(oracle._POLARIZED_DESIGN) == 5
+        assert np.linalg.matrix_rank(oracle._UNPOLARIZED_DESIGN) == 3
+
+    def test_fit_points_are_the_sample_angles(self):
+        np.testing.assert_array_equal(
+            np.stack([oracle._FIT_CHI1, oracle._FIT_CHI2], axis=-1), fit_sample_angles()
+        )
+
+    def test_rank_deficient_design_raises(self):
+        with pytest.raises(oracle.FitError, match="rank deficient"):
+            oracle._solve_design(np.ones((oracle.FIT_SAMPLE_COUNT, 3)), lambda a, b: 1.0, 3)
