@@ -61,7 +61,7 @@ class AngleQuad:
         return tuple(math.degrees(a) % 360.0 for a in self.as_tuple())
 
 
-# Finest coarse grid (0.25 degrees); a search then peaks near 140 MB.
+# Finest coarse grid (0.25 degrees); a search then peaks near 95 MB.
 MAX_GRID_SIZE = 1440
 
 
@@ -160,8 +160,9 @@ def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSetti
     h = P(x1',.) - P(x1,.).  Both are first harmonics c0 + v.(cos, sin), so
     each has minimum c0 - |v|, and g0 + h0 depends on x1' alone.  The outer
     grid has at least three angles, so the harmonics of the square ``joint``
-    table's rows are exact.  Ties go to the lexicographically smallest
-    (x1, x1').  Time and memory are quadratic in grid size.
+    table's rows are exact.  The cell totals are formed in place, in three
+    n x n buffers.  Ties go to the lexicographically smallest (x1, x1').
+    Time and memory are quadratic in grid size.
     """
     n = settings.grid_size
     grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
@@ -169,12 +170,24 @@ def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSetti
     c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T   # of P(x_i, .)
     m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
     m1 = marginal(model, speed, 1, grid)
-    gc, gs = c[:, None] + c - m2c, s[:, None] + s - m2s   # [i, k]
-    hc, hs = c - c[:, None], s - s[:, None]
-    total = (2.0 * c0 - m20 - m1) - np.hypot(gc, gs) - np.hypot(hc, hs)
+    gc0, gs0 = c - m2c, s - m2s
+    g, h, scratch = np.empty((3, grid.size, grid.size))   # [i, k]
+    _hypot_into(np.add.outer(c, gc0, out=g), np.add.outer(s, gs0, out=scratch))
+    _hypot_into(np.subtract.outer(c, c, out=h), np.subtract.outer(s, s, out=scratch))   # |-h|
+    total = np.subtract(2.0 * c0 - m20 - m1, g, out=g)
+    total -= h
     i, k = divmod(int(np.argmin(total)), grid.size)   # first occurrence on ties
-    x2, x2p = math.atan2(-gs[i, k], -gc[i, k]), math.atan2(-hs[i, k], -hc[i, k])
+    x2 = math.atan2(-(s[i] + gs0[k]), -(c[i] + gc0[k]))
+    x2p = math.atan2(-(s[k] - s[i]), -(c[k] - c[i]))
     return AngleQuad(grid[i], x2 % TWO_PI, grid[k], x2p % TWO_PI)
+
+
+def _hypot_into(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x*x + y*y) written over ``x``; ``y`` is overwritten too."""
+    x *= x
+    y *= y
+    x += y
+    return np.sqrt(x, out=x)
 
 
 def _lowest(values: np.ndarray) -> tuple[float, float]:
@@ -204,11 +217,11 @@ def _see_saw(model: CorrelationModel, speed: Speed, start: AngleQuad) -> AngleQu
     best, best_s = start, s_value(model, speed, start).s_value
     stalled = 0
     while stalled < 2:
-        p1, p1p = joint(model, speed, x1, _PROBES), joint(model, speed, x1p, _PROBES)
+        p1, p1p = joint(model, speed, np.array([[x1], [x1p]]), _PROBES)   # (2, 3), never square
         m2 = marginal(model, speed, 2, _PROBES)
         x2, _ = _lowest(p1 + p1p - m2)
         x2p, _ = _lowest(p1p - p1)
-        q2, q2p = joint(model, speed, _PROBES, x2), joint(model, speed, _PROBES, x2p)
+        q2, q2p = joint(model, speed, _PROBES[:, None], np.array([x2, x2p])).T   # (3, 2)
         x1, k_min = _lowest(q2 - q2p)
         x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, _PROBES))
         s = k_min + l_min - _value_at(m2, x2)

@@ -83,6 +83,12 @@ def _parse_angles(spec: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)
 
 
+def _radians(flag: str, degrees: float) -> float:
+    if not math.isfinite(degrees):
+        raise ValueError(f"angle {flag} = {degrees!r} is not finite")
+    return math.radians(degrees)
+
+
 def _kv_lines(pairs) -> str:
     return "".join(f"{key} = {value!r}\n" for key, value in pairs)
 
@@ -114,8 +120,8 @@ def _cmd_coeffs(args) -> int:
 def _cmd_prob(args) -> int:
     model = _parse_model(args.model)
     speed = Speed(args.beta)
-    chi1 = math.radians(args.chi1)
-    chi2 = math.radians(args.chi2)
+    chi1 = _radians("--chi1", args.chi1)
+    chi2 = _radians("--chi2", args.chi2)
     prob = joint_probability(model, speed, chi1, chi2)
     pairs = [
         ("model", model.value),
@@ -138,7 +144,7 @@ def _cmd_marginal(args) -> int:
     pairs = [("model", model.value), ("beta", args.beta)]
     for which, chi in ((1, args.chi1), (2, args.chi2)):
         if chi is not None:
-            value = float(marginal(model, speed, which, math.radians(chi)))
+            value = float(marginal(model, speed, which, _radians(f"--chi{which}", chi)))
             pairs += [(f"chi{which}_deg", chi), (f"marginal_{which}", value)]
     return _emit_record(pairs, args)
 

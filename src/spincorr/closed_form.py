@@ -6,6 +6,12 @@ probability of finding the emerging spins along directions chi1, chi2 is a
 normalized ratio F/N where the normalization sums F over the four angle
 pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
 
+The printed forms are written in the half-sum and half-difference angles.
+The joint intensities expand those with the angle-addition identities into
+products of each angle's own half-angle cos and sin, grouped per axis, so an
+outer grid of n x n angle pairs takes 4n trigonometric calls instead of
+4n^2.  The values equal the printed forms up to roundoff.
+
 The unpolarized law is reported verbatim even where it strays outside
 [0, 1] (which happens for beta above roughly 0.75 in part of the angle
 domain); the ``in_range`` flag records it and nothing is clamped.
@@ -70,17 +76,27 @@ def coefficients(speed: Speed) -> CoefficientSet:
     )
 
 
+def _half_angle(chi):
+    """cos and sin of chi / 2, one pair per angle (not per angle pair)."""
+    half = 0.5 * np.asarray(chi)
+    return np.cos(half), np.sin(half)
+
+
 def f_polarized(speed: Speed, chi1, chi2):
     """Unnormalized joint intensity for the polarized setup.
 
     Sum of the squared real and imaginary template brackets; accepts scalar
-    or array angles (radians).
+    or array angles (radians).  With Ci, Si = cos, sin(chi_i / 2) the real
+    bracket a cos((chi1+chi2)/2) + b sin((chi1-chi2)/2) is
+    (a C1 + b S1) C2 - (a S1 + b C1) S2, and the imaginary bracket
+    c sin((chi1+chi2)/2) + d cos((chi1-chi2)/2) is
+    (c S1 + d C1) C2 + (c C1 + d S1) S2.
     """
     cs = coefficients(speed)
-    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
-    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
-    real_part = cs.a * np.cos(half_sum) + cs.b * np.sin(half_diff)
-    imag_part = cs.c * np.sin(half_sum) + cs.d * np.cos(half_diff)
+    c1, s1 = _half_angle(chi1)
+    c2, s2 = _half_angle(chi2)
+    real_part = (cs.a * c1 + cs.b * s1) * c2 - (cs.a * s1 + cs.b * c1) * s2
+    imag_part = (cs.c * s1 + cs.d * c1) * c2 + (cs.c * c1 + cs.d * s1) * s2
     return real_part**2 + imag_part**2
 
 
@@ -125,12 +141,16 @@ def f_unpolarized(speed: Speed, chi1, chi2):
     """Unnormalized joint intensity for the unpolarized setup (verbatim form).
 
     The sin^2 weight is negative for every beta, so this is not positive
-    definite; see ``p_unpolarized``.
+    definite; see ``p_unpolarized``.  sin((chi1-chi2)/2) and
+    cos((chi1+chi2)/2) are formed from the half-angle cos and sin of each
+    angle, as in ``f_polarized``.
     """
     w_sin, w_cos, w_const = unpolarized_coefficients(speed)
-    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
-    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
-    return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const
+    c1, s1 = _half_angle(chi1)
+    c2, s2 = _half_angle(chi2)
+    sin_half_diff = s1 * c2 - c1 * s2
+    cos_half_sum = c1 * c2 - s1 * s2
+    return w_sin * sin_half_diff**2 + w_cos * cos_half_sum**2 + w_const
 
 
 def norm_unpolarized(speed: Speed) -> float:

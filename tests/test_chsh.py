@@ -213,6 +213,23 @@ class TestSearch:
                 assert s_value(model, speed, AngleQuad(*moved)).s_value >= best.s_value - 1e-12
 
 
+@pytest.mark.parametrize("model", list(CorrelationModel))
+def test_search_makes_one_square_joint_call(monkeypatch, model):
+    # One n x n table per search, the scalar calls of the two s_value
+    # evaluations, and no other square 2-D call.
+    shapes = []
+
+    def recording_joint(*args):
+        value = joint(*args)
+        shapes.append(np.shape(value))
+        return value
+
+    monkeypatch.setattr(chsh, "joint", recording_joint)
+    search_violation(model, Speed(0.6), SearchSettings(grid_step_deg=10.0))
+    assert [shape for shape in shapes if len(shape) == 2 and shape[0] == shape[1]] == [(36, 36)]
+    assert shapes.count(()) == 2 * 4
+
+
 def _loop_coarse_minimum(model, speed, settings):
     """The full 4-D grid argmin, ties to the smallest (x1, x2, x1', x2').
 
@@ -252,8 +269,8 @@ def _loop_exact_coarse_minimum(model, speed, settings, block_rows=None):
     block, best = block_rows or grid.size, None
     for lo in range(0, grid.size, block):
         ci, si = c[lo : lo + block, None], s[lo : lo + block, None]
-        gc, gs, hc, hs = ci + c - m2c, si + s - m2s, c - ci, s - si
-        total = (2.0 * c0 - m20 - m1) - np.hypot(gc, gs) - np.hypot(hc, hs)
+        gc, gs, hc, hs = ci + (c - m2c), si + (s - m2s), c - ci, s - si
+        total = (2.0 * c0 - m20 - m1) - np.sqrt(gc * gc + gs * gs) - np.sqrt(hc * hc + hs * hs)
         for r in range(total.shape[0]):
             for k in range(grid.size):
                 if best is None or total[r, k] < best[0]:

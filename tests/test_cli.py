@@ -46,7 +46,7 @@ PINNED_STDOUT = {
         "beta = 0.8\n"
         "chi1_deg = 30.0\n"
         "chi2_deg = 200.0\n"
-        "P = 0.4690988851217301\n"
+        "P = 0.46909888512173026\n"
         "in_range = True\n"
         "marginal_1 = 0.6843951537216542\n"
         "marginal_2 = 0.5307448807657295\n"
@@ -65,14 +65,14 @@ PINNED_STDOUT = {
     ),
     "prob --model polarized --beta 0.8 --chi1 30 --chi2 200 --format csv": (
         "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
-        "polarized,0.8,30.0,200.0,0.4690988851217301,True,0.6843951537216542,0.5307448807657295\n"
+        "polarized,0.8,30.0,200.0,0.46909888512173026,True,0.6843951537216542,0.5307448807657295\n"
     ),
     "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format pretty": (
         "model = 'unpolarized'\n"
         "beta = 0.9\n"
         "chi1_deg = 10.0\n"
         "chi2_deg = 250.0\n"
-        "P = 0.12309413448317588\n"
+        "P = 0.1230941344831758\n"
         "in_range = True\n"
         "marginal_1 = 0.5\n"
         "marginal_2 = 0.5\n"
@@ -91,7 +91,7 @@ PINNED_STDOUT = {
     ),
     "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format csv": (
         "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
-        "unpolarized,0.9,10.0,250.0,0.12309413448317588,True,0.5,0.5\n"
+        "unpolarized,0.9,10.0,250.0,0.1230941344831758,True,0.5,0.5\n"
     ),
     "marginal --model polarized --beta 0.8 --chi1 30 --chi2 45 --format pretty": (
         "model = 'polarized'\n"
@@ -140,13 +140,13 @@ PINNED_STDOUT = {
         "joint_11 = 0.0838897578353037\n"
         "joint_12p = 0.4388793715305302\n"
         "joint_1p2 = 0.2788295890170235\n"
-        "joint_1p2p = 0.5128461356932409\n"
+        "joint_1p2p = 0.5128461356932408\n"
         "marginal_1p = 0.8206813052294111\n"
         "marginal_2 = 0.4245918618859834\n"
-        "S = -0.8085870561003566\n"
+        "S = -0.8085870561003567\n"
         "violated = False\n"
         "reference = -1.311\n"
-        "gap = 0.5024129438996433\n"
+        "gap = 0.5024129438996432\n"
     ),
     "chsh --model polarized --beta 0.9 --angles 0,45,69,200 --format json": (
         "{\n"
@@ -174,13 +174,13 @@ PINNED_STDOUT = {
     ),
     "chsh --model polarized --beta 0.9 --angles 0,45,69,200 --format csv": (
         "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
-        "0.9,polarized,0.0,45.0,69.0,200.0,-0.8085870561003566,false\n"
+        "0.9,polarized,0.0,45.0,69.0,200.0,-0.8085870561003567,false\n"
     ),
     "chsh --model unpolarized --beta 0.35 --angles 10,20,30,40 --format pretty": (
         "model = 'unpolarized'\n"
         "beta = 0.35\n"
         "angles_deg = (10.0, 20.0, 30.0, 40.0)\n"
-        "joint_11 = 0.41209649027530104\n"
+        "joint_11 = 0.412096490275301\n"
         "joint_12p = 0.3873576647253592\n"
         "joint_1p2 = 0.4023469979113315\n"
         "joint_1p2p = 0.38921154238300004\n"
@@ -323,6 +323,18 @@ class TestMarginal:
         code, _, err = run(capsys, "marginal", "--model", "polarized", "--beta", "0.5")
         assert code == 1
         assert "chi1" in err
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("flag", ("--chi1", "--chi2"))
+@pytest.mark.parametrize("command", ("prob", "marginal"))
+def test_non_finite_angle_rejected(capsys, command, flag, value):
+    angles = {"--chi1": "30", "--chi2": "45", flag: value}
+    argv = [command, "--model", "polarized", "--beta", "0.5", "--format", "json"]
+    argv += [f"{name}={angle}" for name, angle in angles.items()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: angle {flag} = {float(value)!r} is not finite\n"
 
 
 class TestChsh:

@@ -282,3 +282,47 @@ class TestDispatch:
         )
         with pytest.raises(ValueError):
             marginal(CorrelationModel.POLARIZED, speed, 0, 0.7)
+
+
+def _verbatim_f_polarized(speed, chi1, chi2):
+    """The printed half-sum form of f_polarized, kept as its reference."""
+    cs = coefficients(speed)
+    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
+    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
+    real_part = cs.a * np.cos(half_sum) + cs.b * np.sin(half_diff)
+    imag_part = cs.c * np.sin(half_sum) + cs.d * np.cos(half_diff)
+    return real_part**2 + imag_part**2
+
+
+def _verbatim_f_unpolarized(speed, chi1, chi2):
+    """The printed half-sum form of f_unpolarized, kept as its reference."""
+    w_sin, w_cos, w_const = unpolarized_coefficients(speed)
+    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
+    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
+    return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const
+
+
+_PARITY_PAIRS = np.random.default_rng(2718).uniform(-4.0 * math.pi, 4.0 * math.pi, size=(200, 2))
+_PARITY_GRID = np.radians(np.arange(-720.0, 720.0, 2.0))   # 2 degrees across [-4 pi, 4 pi)
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.3, 0.6, 0.9, 0.99, 1.0))
+@pytest.mark.parametrize(
+    "factored,verbatim,norm",
+    [(f_polarized, _verbatim_f_polarized, n_polarized), (f_unpolarized, _verbatim_f_unpolarized, norm_unpolarized)],
+    ids=["polarized", "unpolarized"],
+)
+def test_half_angle_products_match_printed_form(factored, verbatim, norm, beta):
+    # The closed forms expand each half-sum and half-difference with the
+    # angle-addition identities; they must equal the printed forms to
+    # roundoff, keep the return shape, and return the same scalar type.
+    speed = Speed(beta)
+    tolerance = 1e-14 * norm(speed)
+    for chi1, chi2 in _PARITY_PAIRS.tolist():
+        value, expected = factored(speed, chi1, chi2), verbatim(speed, chi1, chi2)
+        assert type(value) is type(expected) is np.float64
+        assert abs(value - expected) <= tolerance
+    for chi1, chi2 in ((_PARITY_GRID[:, None], _PARITY_GRID[None, :]), (_PARITY_GRID, 0.5), (1.5, _PARITY_GRID)):
+        values, expected = factored(speed, chi1, chi2), verbatim(speed, chi1, chi2)
+        assert values.shape == expected.shape
+        assert np.abs(values - expected).max() <= tolerance
