@@ -9,12 +9,12 @@ all read from the closed-form module for the chosen model.  Local
 hidden-variable theories confine S to [-1, 0]; any value outside that
 interval counts as a violation, in either direction.
 
-The search minimizes S.  Both joint laws and the marginals are first
-harmonics in each angle, so with the first angles fixed the best second
-angles have a closed form, and vice versa.  A grid over the first angles,
-with the second ones solved exactly in each cell, picks the start of an
-exact see-saw that alternates the two pairs until S stops decreasing.
-Everything is deterministic; repeated runs give bit-identical results.
+The search minimizes S exactly.  Every joint law is a first harmonic in
+each angle, P(x1, x2) = n(x1)^T A n(x2) with n = (1, cos, sin), so one
+n x n table of the law fixes the 3 x 3 matrix A, and the in-plane optimum
+follows from A in closed form (Horodecki, Horodecki & Horodecki, Phys.
+Lett. A 200, 340 (1995)).  Everything is deterministic; repeated runs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class AngleQuad:
         return tuple(math.degrees(a) % 360.0 for a in self.as_tuple())
 
 
-# Finest coarse grid (0.25 degrees); a search then peaks near 95 MB.
+# Finest sample grid (0.25 degrees); a search then peaks near 61 MB.
 MAX_GRID_SIZE = 1440
 
 
@@ -69,10 +69,10 @@ MAX_GRID_SIZE = 1440
 class SearchSettings:
     """Deterministic search profile.
 
-    The coarse step must divide 360 degrees into at most MAX_GRID_SIZE
-    angles.  It sets the grid over (x1, x1'), at least three angles each;
-    (x2, x2') and every see-saw step are solved exactly, so the step is the
-    only setting.
+    The step must divide 360 degrees into at most MAX_GRID_SIZE angles.  It
+    sets only the sample grid (at least three angles) that the search reads
+    the law's harmonic matrix from; the search returns the exact in-plane
+    optimum, so S is the same at every step up to roundoff.
     """
 
     grid_step_deg: float = 5.0
@@ -146,99 +146,36 @@ def _fourier_rows(grid: np.ndarray) -> np.ndarray:
     return np.array([np.ones_like(grid), 2.0 * np.cos(grid), 2.0 * np.sin(grid)]) / grid.size
 
 
-# Three angles are the fewest that fix a first harmonic; they also serve as
-# the coarse grid when the step leaves fewer than three grid angles.
+# Three angles are the fewest that fix a first harmonic; they serve as the
+# sample grid when the step leaves fewer than three grid angles.
 _PROBES = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
-_FOURIER = _fourier_rows(_PROBES)
-
-
-def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSettings):
-    """Grid argmin over (x1, x1'), with (x2, x2') set to their exact minimizers.
-
-    For fixed (x1, x1') the x2 and x2' contributions separate:
-    S = g(x2) + h(x2') - m1(x1'), with g = P(x1,.) + P(x1',.) - m2 and
-    h = P(x1',.) - P(x1,.).  Both are first harmonics c0 + v.(cos, sin), so
-    each has minimum c0 - |v|, and g0 + h0 depends on x1' alone.  The outer
-    grid has at least three angles, so the harmonics of the square ``joint``
-    table's rows are exact.  The cell totals are formed in place, in three
-    n x n buffers.  Ties go to the lexicographically smallest (x1, x1').
-    Time and memory are quadratic in grid size.
-    """
-    n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
-    fourier = _fourier_rows(grid)
-    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T   # of P(x_i, .)
-    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
-    m1 = marginal(model, speed, 1, grid)
-    gc0, gs0 = c - m2c, s - m2s
-    g, h, scratch = np.empty((3, grid.size, grid.size))   # [i, k]
-    _hypot_into(np.add.outer(c, gc0, out=g), np.add.outer(s, gs0, out=scratch))
-    _hypot_into(np.subtract.outer(c, c, out=h), np.subtract.outer(s, s, out=scratch))   # |-h|
-    total = np.subtract(2.0 * c0 - m20 - m1, g, out=g)
-    total -= h
-    i, k = divmod(int(np.argmin(total)), grid.size)   # first occurrence on ties
-    x2 = math.atan2(-(s[i] + gs0[k]), -(c[i] + gc0[k]))
-    x2p = math.atan2(-(s[k] - s[i]), -(c[k] - c[i]))
-    return AngleQuad(grid[i], x2 % TWO_PI, grid[k], x2p % TWO_PI)
-
-
-def _hypot_into(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sqrt(x*x + y*y) written over ``x``; ``y`` is overwritten too."""
-    x *= x
-    y *= y
-    x += y
-    return np.sqrt(x, out=x)
-
-
-def _lowest(values: np.ndarray) -> tuple[float, float]:
-    """Minimizing angle in [0, 2 pi) and minimum of the harmonic through ``values``."""
-    c0, c, s = _FOURIER @ values
-    return math.atan2(-s, -c) % TWO_PI, c0 - math.hypot(c, s)
-
-
-def _value_at(values: np.ndarray, x: float) -> float:
-    """The harmonic through ``values``, evaluated at angle ``x``."""
-    c0, c, s = _FOURIER @ values
-    return c0 + c * math.cos(x) + s * math.sin(x)
-
-
-def _see_saw(model: CorrelationModel, speed: Speed, start: AngleQuad) -> AngleQuad:
-    """Alternate exact minimization over (x2, x2') and (x1, x1') from ``start``.
-
-    With (x1, x1') fixed, S = g(x2) + h(x2') - m1(x1'), and with (x2, x2')
-    fixed, S = k(x1) + l(x1') - m2(x2); every one of g, h, k, l is a first
-    harmonic, so each half sweep sets its two angles to their exact minimizers.
-    S never increases.  A harmonic can be flat (h vanishes whenever
-    x1 = x1'), so a sweep may make a level move off a saddle that the next
-    sweep descends from; the sweeps therefore stop after two in a row fail
-    to lower S, and the best quadruple seen is returned.
-    """
-    x1, x2, x1p, x2p = start.as_tuple()
-    best, best_s = start, s_value(model, speed, start).s_value
-    stalled = 0
-    while stalled < 2:
-        p1, p1p = joint(model, speed, np.array([[x1], [x1p]]), _PROBES)   # (2, 3), never square
-        m2 = marginal(model, speed, 2, _PROBES)
-        x2, _ = _lowest(p1 + p1p - m2)
-        x2p, _ = _lowest(p1p - p1)
-        q2, q2p = joint(model, speed, _PROBES[:, None], np.array([x2, x2p])).T   # (3, 2)
-        x1, k_min = _lowest(q2 - q2p)
-        x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, _PROBES))
-        s = k_min + l_min - _value_at(m2, x2)
-        if s < best_s:
-            best, best_s, stalled = AngleQuad(x1, x2, x1p, x2p), s, 0
-        else:
-            stalled += 1
-    return best
 
 
 def search_violation(
     model: CorrelationModel, speed: Speed, settings: SearchSettings | None = None
 ) -> ChshResult:
-    """Minimize S over all angle quadruples: coarse grid, then see-saw."""
+    """Minimize S over all in-plane angle quadruples, exactly.
+
+    The square ``joint`` table over the sample grid folds to A.  The
+    marginal terms cancel from S (each marginal is its defining sum), so
+    S = -2 A00 + u(x1).T (u(x2) - u(x2')) + u(x1').T (u(x2) + u(x2')) with
+    u = (cos, sin) and T = A[1:, 1:].  With x2 = theta and x2' = -theta the
+    two bracketed vectors are 2 sin(theta) T[:, 1] and 2 cos(theta) T[:, 0];
+    x1 and x1' point against them, and theta = atan2(|T[:, 1]|, |T[:, 0]|)
+    gives the optimum S = -2 A00 - 2 |T|_F.
+    """
     settings = settings or SearchSettings()
-    coarse = _coarse_minimum(model, speed, settings)
-    return s_value(model, speed, _see_saw(model, speed, coarse))
+    n = settings.grid_size
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    fourier = _fourier_rows(grid)
+    a = fourier @ joint(model, speed, grid[:, None], grid[None, :]) @ fourier.T
+    t = a[1:, 1:]   # rows: (cos, sin) of x1; columns: (cos, sin) of x2
+    te, tf = t[:, 0], t[:, 1]
+    theta = math.atan2(math.hypot(*tf), math.hypot(*te))
+    quad = AngleQuad(
+        math.atan2(-tf[1], -tf[0]) % TWO_PI, theta, math.atan2(-te[1], -te[0]) % TWO_PI, -theta % TWO_PI
+    )
+    return s_value(model, speed, quad)
 
 
 def beta_scan(

@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("polarized", "unpolarized"), required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--beta-range", default=None, help="lo:hi:step")
-    p.add_argument("--grid-step", type=float, default=5.0, help="coarse grid step in degrees")
+    p.add_argument("--grid-step", type=float, default=5.0,
+                   help="sample grid step in degrees; the search is exact, so S moves with it only at roundoff")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan)

@@ -6,15 +6,19 @@ probability of finding the emerging spins along directions chi1, chi2 is a
 normalized ratio F/N where the normalization sums F over the four angle
 pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
 
-The printed forms are written in the half-sum and half-difference angles.
-The joint intensities expand those with the angle-addition identities into
-products of each angle's own half-angle cos and sin, grouped per axis, so an
-outer grid of n x n angle pairs takes 4n trigonometric calls instead of
-4n^2.  The values equal the printed forms up to roundoff.
+Both printed intensities are first harmonics in each full angle.  They
+are evaluated as
+
+    f = k0 + k1 sin chi1 + k2 sin chi2 + kc cos chi1 cos chi2 + ks sin chi1 sin chi2,
+
+with five weights per speed, so an outer grid of n x n angle pairs takes
+4n trigonometric calls and a few passes over the n x n result.  The values
+equal the printed half-angle forms up to roundoff.
 
 The unpolarized law is reported verbatim even where it strays outside
-[0, 1] (which happens for beta above roughly 0.75 in part of the angle
-domain); the ``in_range`` flag records it and nothing is clamped.
+[0, 1]: it goes negative for beta above about 0.52988, the root of
+2 - 8 beta^2 + 2 beta^4 + 4 beta^6, first at (chi1, chi2) = (0, pi).  The
+``in_range`` flag records it and nothing is clamped.
 """
 
 from __future__ import annotations
@@ -76,39 +80,73 @@ def coefficients(speed: Speed) -> CoefficientSet:
     )
 
 
-def _half_angle(chi):
-    """cos and sin of chi / 2, one pair per angle (not per angle pair)."""
-    half = 0.5 * np.asarray(chi)
-    return np.cos(half), np.sin(half)
+def _harmonic(weights, chi1, chi2):
+    """k0 + k1 s1 + k2 s2 + kc c1 c2 + ks s1 s2 with ci, si = cos, sin(chi_i); broadcasts.
+
+    Trig is taken once per angle, not per pair, and an outer grid is built
+    in place with one temporary of the result's size.
+    """
+    k0, k1, k2, kc, ks = weights
+    c1, s1 = np.cos(chi1), np.sin(chi1)
+    c2, s2 = np.cos(chi2), np.sin(chi2)
+    out = (kc * c1) * c2
+    out += (ks * s1 + k2) * s2
+    out += k0 + k1 * s1
+    return out
+
+
+def _polarized_norm(cs: CoefficientSet) -> float:
+    return 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
+
+
+def _weights(model: CorrelationModel, speed: Speed):
+    """Harmonic weights (k0, k1, k2, kc, ks) of the model's intensity, and its normalization.
+
+    Polarized: with sigma, delta = (chi1 +- chi2) / 2 the squared brackets
+    (a cos sigma + b sin delta)^2 + (c sin sigma + d cos delta)^2 expand to
+    N/4 + ab (sin chi1 - sin chi2) + cd (sin chi1 + sin chi2)
+    + (a^2 - c^2)/2 cos(chi1 + chi2) + (d^2 - b^2)/2 cos(chi1 - chi2).
+    Unpolarized: sin^2 delta and cos^2 sigma expand the same way.
+    """
+    if model is CorrelationModel.POLARIZED:
+        cs = coefficients(speed)
+        a2, b2, c2, d2 = cs.a**2, cs.b**2, cs.c**2, cs.d**2
+        ab, cd = cs.a * cs.b, cs.c * cs.d
+        weights = (
+            0.5 * (a2 + b2 + c2 + d2), ab + cd, cd - ab, 0.5 * (a2 - b2 - c2 + d2), 0.5 * (c2 + d2 - a2 - b2)
+        )
+        return weights, _polarized_norm(cs)
+    if model is CorrelationModel.UNPOLARIZED:
+        w_sin, w_cos, w_const = unpolarized_coefficients(speed)
+        weights = (0.5 * (w_sin + w_cos) + w_const, 0.0, 0.0, 0.5 * (w_cos - w_sin), -0.5 * (w_sin + w_cos))
+        return weights, norm_unpolarized(speed)
+    raise ValueError(f"unknown model {model!r}")
 
 
 def f_polarized(speed: Speed, chi1, chi2):
     """Unnormalized joint intensity for the polarized setup.
 
-    Sum of the squared real and imaginary template brackets; accepts scalar
-    or array angles (radians).  With Ci, Si = cos, sin(chi_i / 2) the real
-    bracket a cos((chi1+chi2)/2) + b sin((chi1-chi2)/2) is
-    (a C1 + b S1) C2 - (a S1 + b C1) S2, and the imaginary bracket
-    c sin((chi1+chi2)/2) + d cos((chi1-chi2)/2) is
-    (c S1 + d C1) C2 + (c C1 + d S1) S2.
+    Sum of the squared real and imaginary template brackets
+    a cos((chi1+chi2)/2) + b sin((chi1-chi2)/2) and
+    c sin((chi1+chi2)/2) + d cos((chi1-chi2)/2); accepts scalar or array
+    angles (radians).
     """
-    cs = coefficients(speed)
-    c1, s1 = _half_angle(chi1)
-    c2, s2 = _half_angle(chi2)
-    real_part = (cs.a * c1 + cs.b * s1) * c2 - (cs.a * s1 + cs.b * c1) * s2
-    imag_part = (cs.c * s1 + cs.d * c1) * c2 + (cs.c * c1 + cs.d * s1) * s2
-    return real_part**2 + imag_part**2
+    return _harmonic(_weights(CorrelationModel.POLARIZED, speed)[0], chi1, chi2)
 
 
 def n_polarized(speed: Speed) -> float:
     """Normalization 2(a^2 + b^2 + c^2 + d^2); the four-pair sum of f_polarized."""
-    cs = coefficients(speed)
-    return 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
+    return _polarized_norm(coefficients(speed))
 
 
 def p_polarized(speed: Speed, chi1: float, chi2: float) -> JointProbability:
-    """Joint probability for the polarized setup; always lands in [0, 1]."""
-    return JointProbability.of(f_polarized(speed, chi1, chi2) / n_polarized(speed))
+    """Joint probability for the polarized setup; in [0, 1] up to roundoff.
+
+    Both brackets vanish together on a curve of (beta, chi1, chi2), for
+    example at beta = 0.75526, (chi1, chi2) = (264.6, 99.1) degrees; close to
+    it the harmonic sum can round to about -1e-16, which ``in_range`` reports.
+    """
+    return JointProbability.of(joint(CorrelationModel.POLARIZED, speed, chi1, chi2))
 
 
 def marginal1_polarized(speed: Speed, chi1):
@@ -117,13 +155,13 @@ def marginal1_polarized(speed: Speed, chi1):
     Equals the defining sum p(chi1, chi2) + p(chi1, chi2 + pi) for any chi2.
     """
     cs = coefficients(speed)
-    return 0.5 + 2.0 * (cs.a * cs.b + cs.c * cs.d) * np.sin(chi1) / n_polarized(speed)
+    return 0.5 + 2.0 * (cs.a * cs.b + cs.c * cs.d) * np.sin(chi1) / _polarized_norm(cs)
 
 
 def marginal2_polarized(speed: Speed, chi2):
     """Single-spin probability for the second particle, polarized setup."""
     cs = coefficients(speed)
-    return 0.5 + 2.0 * (cs.c * cs.d - cs.a * cs.b) * np.sin(chi2) / n_polarized(speed)
+    return 0.5 + 2.0 * (cs.c * cs.d - cs.a * cs.b) * np.sin(chi2) / _polarized_norm(cs)
 
 
 def unpolarized_coefficients(speed: Speed) -> tuple[float, float, float]:
@@ -140,17 +178,11 @@ def unpolarized_coefficients(speed: Speed) -> tuple[float, float, float]:
 def f_unpolarized(speed: Speed, chi1, chi2):
     """Unnormalized joint intensity for the unpolarized setup (verbatim form).
 
+    w_sin sin^2((chi1-chi2)/2) + w_cos cos^2((chi1+chi2)/2) + w_const.
     The sin^2 weight is negative for every beta, so this is not positive
-    definite; see ``p_unpolarized``.  sin((chi1-chi2)/2) and
-    cos((chi1+chi2)/2) are formed from the half-angle cos and sin of each
-    angle, as in ``f_polarized``.
+    definite; see ``p_unpolarized``.
     """
-    w_sin, w_cos, w_const = unpolarized_coefficients(speed)
-    c1, s1 = _half_angle(chi1)
-    c2, s2 = _half_angle(chi2)
-    sin_half_diff = s1 * c2 - c1 * s2
-    cos_half_sum = c1 * c2 - s1 * s2
-    return w_sin * sin_half_diff**2 + w_cos * cos_half_sum**2 + w_const
+    return _harmonic(_weights(CorrelationModel.UNPOLARIZED, speed)[0], chi1, chi2)
 
 
 def norm_unpolarized(speed: Speed) -> float:
@@ -165,7 +197,7 @@ def p_unpolarized(speed: Speed, chi1: float, chi2: float) -> JointProbability:
     Out-of-range values (possible at large beta) are flagged via
     ``in_range`` and never clamped or renormalized.
     """
-    return JointProbability.of(f_unpolarized(speed, chi1, chi2) / norm_unpolarized(speed))
+    return JointProbability.of(joint(CorrelationModel.UNPOLARIZED, speed, chi1, chi2))
 
 
 def marginal_unpolarized(which: int = 1) -> float:
@@ -180,11 +212,8 @@ def marginal_unpolarized(which: int = 1) -> float:
 
 def joint(model: CorrelationModel, speed: Speed, chi1, chi2):
     """Raw joint probability value for either model; broadcasts over angles."""
-    if model is CorrelationModel.POLARIZED:
-        return f_polarized(speed, chi1, chi2) / n_polarized(speed)
-    if model is CorrelationModel.UNPOLARIZED:
-        return f_unpolarized(speed, chi1, chi2) / norm_unpolarized(speed)
-    raise ValueError(f"unknown model {model!r}")
+    weights, norm = _weights(model, speed)
+    return _harmonic([w / norm for w in weights], chi1, chi2)
 
 
 def marginal(model: CorrelationModel, speed: Speed, which: int, chi):

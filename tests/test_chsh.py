@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 import spincorr
 from spincorr import chsh
 from spincorr.chsh import (
-    _FOURIER,
     _PROBES,
+    TWO_PI,
     AngleQuad,
     SearchSettings,
-    _coarse_minimum,
-    _see_saw,
+    _fourier_rows,
     beta_scan,
     is_violation,
     s_value,
@@ -43,8 +42,8 @@ models = st.sampled_from(list(CorrelationModel))
 
 CI_SETTINGS = SearchSettings(grid_step_deg=15.0)
 
-# Searched minima from the earlier Nelder-Mead refinement; the see-saw
-# reaches the same minima to roundoff.
+# Searched minima from the earlier Nelder-Mead refinement; the exact
+# optimum equals them to roundoff.
 _P, _U = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
 SEARCHED_S_PINS = [
     (5.0, _P, 0.3, -0.7281987574496541),
@@ -175,30 +174,24 @@ class TestSearch:
     @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
     def test_one_cell_grid_leaves_saddle(self, beta, expected):
         # A 360-degree step leaves one grid angle, fewer than the three that
-        # fix a harmonic, so the outer grid falls back to the three probe
-        # angles; the search must still reach the 5-degree minimum.  The
-        # saddle (0, 0, 0, 0) itself is test_see_saw_leaves_saddle's case.
+        # fix a harmonic, so the sample grid falls back to the three probe
+        # angles; the search must still reach the 5-degree minimum.
         result = search_violation(_P, Speed(beta), SearchSettings(grid_step_deg=360.0))
         assert result.s_value == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
-    def test_see_saw_leaves_saddle(self, beta, expected):
-        # At (0, 0, 0, 0) the first sweep only makes a level move; the
-        # see-saw must carry on to the 5-degree minimum.
-        quad = _see_saw(_P, Speed(beta), AngleQuad(0.0, 0.0, 0.0, 0.0))
-        assert s_value(_P, Speed(beta), quad).s_value == pytest.approx(expected, abs=1e-12)
-
+    @pytest.mark.parametrize("model", list(CorrelationModel))
     @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99))
-    def test_unpolarized_search_reaches_global_optimum(self, beta):
-        # P(x1, x2) = n(x1)^T A n(x2) with n = (1, cos, sin).  With flat
-        # marginals the in-plane optimum is the Horodecki form
-        # 2 A00 - 1 - 2 |A[1:, 1:]|_F, a certificate that no local minimum
-        # was taken for the global one.
+    def test_search_reaches_global_optimum(self, model, beta):
+        # P(x1, x2) = n(x1)^T A n(x2) with n = (1, cos, sin), and the marginal
+        # terms cancel from S, so the in-plane optimum is the Horodecki form
+        # 2 A00 - 1 - 2 |A[1:, 1:]|_F, here read from the three probe angles.
+        # The unpolarized marginals are flat as well.
         speed = Speed(beta)
-        a = _FOURIER @ joint(_U, speed, _PROBES[:, None], _PROBES[None, :]) @ _FOURIER.T
-        assert np.abs(a[0, 1:]).max() < 1e-12 and np.abs(a[1:, 0]).max() < 1e-12
+        a = _FOURIER @ joint(model, speed, _PROBES[:, None], _PROBES[None, :]) @ _FOURIER.T
+        if model is _U:
+            assert np.abs(a[0, 1:]).max() < 1e-12 and np.abs(a[1:, 0]).max() < 1e-12
         optimum = 2.0 * a[0, 0] - 1.0 - 2.0 * np.linalg.norm(a[1:, 1:])
-        result = search_violation(_U, speed, SearchSettings(grid_step_deg=5.0))
+        result = search_violation(model, speed, SearchSettings(grid_step_deg=5.0))
         assert result.s_value == pytest.approx(optimum, abs=1e-12)
 
     @pytest.mark.parametrize("model", list(CorrelationModel))
@@ -215,8 +208,8 @@ class TestSearch:
 
 @pytest.mark.parametrize("model", list(CorrelationModel))
 def test_search_makes_one_square_joint_call(monkeypatch, model):
-    # One n x n table per search, the scalar calls of the two s_value
-    # evaluations, and no other square 2-D call.
+    # One n x n table per search, the scalar calls of the one s_value
+    # evaluation, and no other square 2-D call.
     shapes = []
 
     def recording_joint(*args):
@@ -227,15 +220,100 @@ def test_search_makes_one_square_joint_call(monkeypatch, model):
     monkeypatch.setattr(chsh, "joint", recording_joint)
     search_violation(model, Speed(0.6), SearchSettings(grid_step_deg=10.0))
     assert [shape for shape in shapes if len(shape) == 2 and shape[0] == shape[1]] == [(36, 36)]
-    assert shapes.count(()) == 2 * 4
+    assert shapes.count(()) == 4
+
+
+# The grid search and see-saw that the exact optimum replaced, kept
+# verbatim as the reference search.
+_FOURIER = _fourier_rows(_PROBES)
+
+
+def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSettings):
+    """Grid argmin over (x1, x1'), with (x2, x2') set to their exact minimizers.
+
+    For fixed (x1, x1') the x2 and x2' contributions separate:
+    S = g(x2) + h(x2') - m1(x1'), with g = P(x1,.) + P(x1',.) - m2 and
+    h = P(x1',.) - P(x1,.).  Both are first harmonics c0 + v.(cos, sin), so
+    each has minimum c0 - |v|, and g0 + h0 depends on x1' alone.  The outer
+    grid has at least three angles, so the harmonics of the square ``joint``
+    table's rows are exact.  The cell totals are formed in place, in three
+    n x n buffers.  Ties go to the lexicographically smallest (x1, x1').
+    Time and memory are quadratic in grid size.
+    """
+    n = settings.grid_size
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    fourier = _fourier_rows(grid)
+    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T   # of P(x_i, .)
+    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
+    m1 = marginal(model, speed, 1, grid)
+    gc0, gs0 = c - m2c, s - m2s
+    g, h, scratch = np.empty((3, grid.size, grid.size))   # [i, k]
+    _hypot_into(np.add.outer(c, gc0, out=g), np.add.outer(s, gs0, out=scratch))
+    _hypot_into(np.subtract.outer(c, c, out=h), np.subtract.outer(s, s, out=scratch))   # |-h|
+    total = np.subtract(2.0 * c0 - m20 - m1, g, out=g)
+    total -= h
+    i, k = divmod(int(np.argmin(total)), grid.size)   # first occurrence on ties
+    x2 = math.atan2(-(s[i] + gs0[k]), -(c[i] + gc0[k]))
+    x2p = math.atan2(-(s[k] - s[i]), -(c[k] - c[i]))
+    return AngleQuad(grid[i], x2 % TWO_PI, grid[k], x2p % TWO_PI)
+
+
+def _hypot_into(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x*x + y*y) written over ``x``; ``y`` is overwritten too."""
+    x *= x
+    y *= y
+    x += y
+    return np.sqrt(x, out=x)
+
+
+def _lowest(values: np.ndarray) -> tuple[float, float]:
+    """Minimizing angle in [0, 2 pi) and minimum of the harmonic through ``values``."""
+    c0, c, s = _FOURIER @ values
+    return math.atan2(-s, -c) % TWO_PI, c0 - math.hypot(c, s)
+
+
+def _value_at(values: np.ndarray, x: float) -> float:
+    """The harmonic through ``values``, evaluated at angle ``x``."""
+    c0, c, s = _FOURIER @ values
+    return c0 + c * math.cos(x) + s * math.sin(x)
+
+
+def _see_saw(model: CorrelationModel, speed: Speed, start: AngleQuad) -> AngleQuad:
+    """Alternate exact minimization over (x2, x2') and (x1, x1') from ``start``.
+
+    With (x1, x1') fixed, S = g(x2) + h(x2') - m1(x1'), and with (x2, x2')
+    fixed, S = k(x1) + l(x1') - m2(x2); every one of g, h, k, l is a first
+    harmonic, so each half sweep sets its two angles to their exact minimizers.
+    S never increases.  A harmonic can be flat (h vanishes whenever
+    x1 = x1'), so a sweep may make a level move off a saddle that the next
+    sweep descends from; the sweeps therefore stop after two in a row fail
+    to lower S, and the best quadruple seen is returned.
+    """
+    x1, x2, x1p, x2p = start.as_tuple()
+    best, best_s = start, s_value(model, speed, start).s_value
+    stalled = 0
+    while stalled < 2:
+        p1, p1p = joint(model, speed, np.array([[x1], [x1p]]), _PROBES)   # (2, 3), never square
+        m2 = marginal(model, speed, 2, _PROBES)
+        x2, _ = _lowest(p1 + p1p - m2)
+        x2p, _ = _lowest(p1p - p1)
+        q2, q2p = joint(model, speed, _PROBES[:, None], np.array([x2, x2p])).T   # (3, 2)
+        x1, k_min = _lowest(q2 - q2p)
+        x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, _PROBES))
+        s = k_min + l_min - _value_at(m2, x2)
+        if s < best_s:
+            best, best_s, stalled = AngleQuad(x1, x2, x1p, x2p), s, 0
+        else:
+            stalled += 1
+    return best
 
 
 def _loop_coarse_minimum(model, speed, settings):
     """The full 4-D grid argmin, ties to the smallest (x1, x2, x1', x2').
 
     This was the coarse search before (x2, x2') were solved exactly; the
-    exact search must never start from a worse point, nor end at one.  The
-    n^3 part arrays are formed one x1 row at a time.
+    exact search must never end at a worse point.  The n^3 part arrays are
+    formed one x1 row at a time.
     """
     n = settings.grid_size
     grid = np.radians(np.arange(n) * settings.grid_step_deg)
@@ -253,43 +331,6 @@ def _loop_coarse_minimum(model, speed, settings):
     return AngleQuad(grid[i], grid[j], grid[k], grid[l])
 
 
-def _loop_exact_coarse_minimum(model, speed, settings, block_rows=None):
-    """The exact coarse argmin with the tie-break loop ``np.argmin`` replaced.
-
-    Cell totals are formed ``block_rows`` x1 rows at a time (None: all at
-    once), with the arithmetic of ``_coarse_minimum``; a Python loop then
-    visits the cells in (x1, x1') order and keeps the first lowest one.
-    """
-    n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
-    fourier = chsh._fourier_rows(grid)
-    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T
-    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
-    m1 = marginal(model, speed, 1, grid)
-    block, best = block_rows or grid.size, None
-    for lo in range(0, grid.size, block):
-        ci, si = c[lo : lo + block, None], s[lo : lo + block, None]
-        gc, gs, hc, hs = ci + (c - m2c), si + (s - m2s), c - ci, s - si
-        total = (2.0 * c0 - m20 - m1) - np.sqrt(gc * gc + gs * gs) - np.sqrt(hc * hc + hs * hs)
-        for r in range(total.shape[0]):
-            for k in range(grid.size):
-                if best is None or total[r, k] < best[0]:
-                    best = (total[r, k], lo + r, k, gc[r, k], gs[r, k], hc[r, k], hs[r, k])
-    _, i, k, gc, gs, hc, hs = best
-    x2, x2p = math.atan2(-gs, -gc) % chsh.TWO_PI, math.atan2(-hs, -hc) % chsh.TWO_PI
-    return AngleQuad(grid[i], x2, grid[k], x2p)
-
-
-@pytest.mark.parametrize("block_rows", (None, 1, 7))   # 7 splits the 36-row grid unevenly
-@pytest.mark.parametrize("step", (10.0, 30.0, 90.0))
-@pytest.mark.parametrize("model", list(CorrelationModel))
-@pytest.mark.parametrize("beta", (0.0, 0.5, 0.95))
-def test_coarse_tie_break_matches_loop(block_rows, step, model, beta):
-    settings = SearchSettings(grid_step_deg=step)
-    expected = _loop_exact_coarse_minimum(model, Speed(beta), settings, block_rows)
-    assert _coarse_minimum(model, Speed(beta), settings) == expected
-
-
 _PARITY_GRIDS = [(2.0, [k / 10 for k in range(11)])] + [
     (step, [k / 100 for k in range(101)]) for step in (5.0, 15.0, 45.0, 90.0, 180.0, 360.0)
 ]
@@ -297,14 +338,14 @@ _PARITY_GRIDS = [(2.0, [k / 10 for k in range(11)])] + [
 
 @pytest.mark.parametrize("step,betas", _PARITY_GRIDS, ids=[f"{step:g}deg" for step, _ in _PARITY_GRIDS])
 @pytest.mark.parametrize("model", list(CorrelationModel))
-def test_coarse_start_no_worse_than_full_grid(step, betas, model):
+def test_exact_search_no_worse_than_grid_searches(step, betas, model):
     settings = SearchSettings(grid_step_deg=step)
     for beta in betas:
         speed = Speed(beta)
-        new, old = _coarse_minimum(model, speed, settings), _loop_coarse_minimum(model, speed, settings)
-        assert s_value(model, speed, new).s_value <= s_value(model, speed, old).s_value + 1e-12, beta
-        refined = s_value(model, speed, _see_saw(model, speed, new)).s_value
-        assert refined <= s_value(model, speed, _see_saw(model, speed, old)).s_value + 1e-12, beta
+        exact = search_violation(model, speed, settings).s_value
+        reference = s_value(model, speed, _see_saw(model, speed, _coarse_minimum(model, speed, settings)))
+        assert exact <= reference.s_value + 1e-12, beta
+        assert exact <= s_value(model, speed, _loop_coarse_minimum(model, speed, settings)).s_value + 1e-12, beta
 
 
 def test_import_leaves_scipy_unloaded():

@@ -46,7 +46,7 @@ PINNED_STDOUT = {
         "beta = 0.8\n"
         "chi1_deg = 30.0\n"
         "chi2_deg = 200.0\n"
-        "P = 0.46909888512173026\n"
+        "P = 0.46909888512173015\n"
         "in_range = True\n"
         "marginal_1 = 0.6843951537216542\n"
         "marginal_2 = 0.5307448807657295\n"
@@ -65,14 +65,14 @@ PINNED_STDOUT = {
     ),
     "prob --model polarized --beta 0.8 --chi1 30 --chi2 200 --format csv": (
         "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
-        "polarized,0.8,30.0,200.0,0.46909888512173026,True,0.6843951537216542,0.5307448807657295\n"
+        "polarized,0.8,30.0,200.0,0.46909888512173015,True,0.6843951537216542,0.5307448807657295\n"
     ),
     "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format pretty": (
         "model = 'unpolarized'\n"
         "beta = 0.9\n"
         "chi1_deg = 10.0\n"
         "chi2_deg = 250.0\n"
-        "P = 0.1230941344831758\n"
+        "P = 0.12309413448317585\n"
         "in_range = True\n"
         "marginal_1 = 0.5\n"
         "marginal_2 = 0.5\n"
@@ -91,7 +91,7 @@ PINNED_STDOUT = {
     ),
     "prob --model unpolarized --beta 0.9 --chi1 10 --chi2 250 --format csv": (
         "model,beta,chi1_deg,chi2_deg,P,in_range,marginal_1,marginal_2\n"
-        "unpolarized,0.9,10.0,250.0,0.1230941344831758,True,0.5,0.5\n"
+        "unpolarized,0.9,10.0,250.0,0.12309413448317585,True,0.5,0.5\n"
     ),
     "marginal --model polarized --beta 0.8 --chi1 30 --chi2 45 --format pretty": (
         "model = 'polarized'\n"
@@ -137,7 +137,7 @@ PINNED_STDOUT = {
         "model = 'polarized'\n"
         "beta = 0.9\n"
         "angles_deg = (0.0, 45.0, 69.0, 200.0)\n"
-        "joint_11 = 0.0838897578353037\n"
+        "joint_11 = 0.08388975783530372\n"
         "joint_12p = 0.4388793715305302\n"
         "joint_1p2 = 0.2788295890170235\n"
         "joint_1p2p = 0.5128461356932408\n"
@@ -180,9 +180,9 @@ PINNED_STDOUT = {
         "model = 'unpolarized'\n"
         "beta = 0.35\n"
         "angles_deg = (10.0, 20.0, 30.0, 40.0)\n"
-        "joint_11 = 0.412096490275301\n"
+        "joint_11 = 0.41209649027530104\n"
         "joint_12p = 0.3873576647253592\n"
-        "joint_1p2 = 0.4023469979113315\n"
+        "joint_1p2 = 0.40234699791133144\n"
         "joint_1p2p = 0.38921154238300004\n"
         "marginal_1p = 0.5\n"
         "marginal_2 = 0.5\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spincorr import closed_form
 from spincorr.closed_form import (
     CorrelationModel,
     coefficients,
@@ -237,6 +238,21 @@ class TestUnpolarizedProbability:
         assert prob.value == pytest.approx(-0.04803278983066744, rel=1e-10)
         assert not prob.in_range
 
+    def test_negative_region_starts_at_polynomial_root(self):
+        # At (0, pi) the intensity is w_sin + w_const = 2 - 8 b^2 + 2 b^4 + 4 b^6,
+        # whose root in (0, 1) is where the law first goes negative.
+        roots = np.roots([4.0, 2.0, -8.0, 2.0])   # in b^2
+        (onset,) = [math.sqrt(r.real) for r in roots if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+        assert onset == pytest.approx(0.52988, abs=1e-5)
+        assert joint(CorrelationModel.UNPOLARIZED, Speed(onset - 1e-6), 0.0, math.pi) > 0.0
+        assert joint(CorrelationModel.UNPOLARIZED, Speed(onset + 1e-6), 0.0, math.pi) < 0.0
+
+    @pytest.mark.parametrize("beta,negative", [(0.529, False), (0.531, True)])
+    def test_grid_minimum_sign_across_onset(self, beta, negative):
+        grid = np.radians(np.arange(0.0, 360.0, 0.5))
+        lowest = joint(CorrelationModel.UNPOLARIZED, Speed(beta), grid[:, None], grid[None, :]).min()
+        assert (lowest < 0.0) == negative
+
 
 class TestUnpolarizedMarginals:
     def test_exactly_half(self):
@@ -254,6 +270,31 @@ class TestUnpolarizedMarginals:
         p = lambda a, c: p_unpolarized(speed, a, c).value
         assert p(chi1, chi2) + p(chi1, chi2 + math.pi) == pytest.approx(0.5, abs=1e-12)
         assert p(chi1, chi2) + p(chi1 + math.pi, chi2) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,counted",
+    [
+        (lambda s: joint(CorrelationModel.POLARIZED, s, 0.3, 1.1), "coefficients"),
+        (lambda s: p_polarized(s, 0.3, 1.1), "coefficients"),
+        (lambda s: marginal1_polarized(s, 0.3), "coefficients"),
+        (lambda s: marginal2_polarized(s, 0.3), "coefficients"),
+        (lambda s: joint(CorrelationModel.UNPOLARIZED, s, 0.3, 1.1), "unpolarized_coefficients"),
+        (lambda s: p_unpolarized(s, 0.3, 1.1), "unpolarized_coefficients"),
+    ],
+    ids=["joint-polarized", "p_polarized", "marginal1", "marginal2", "joint-unpolarized", "p_unpolarized"],
+)
+def test_weights_built_once_per_call(monkeypatch, call, counted):
+    calls = []
+    original = getattr(closed_form, counted)
+
+    def counting(speed):
+        calls.append(speed)
+        return original(speed)
+
+    monkeypatch.setattr(closed_form, counted, counting)
+    call(Speed(0.6))
+    assert len(calls) == 1
 
 
 class TestDispatch:
@@ -326,3 +367,57 @@ def test_half_angle_products_match_printed_form(factored, verbatim, norm, beta):
         values, expected = factored(speed, chi1, chi2), verbatim(speed, chi1, chi2)
         assert values.shape == expected.shape
         assert np.abs(values - expected).max() <= tolerance
+
+
+@settings(deadline=None)
+@given(betas, angles, angles)
+@pytest.mark.parametrize(
+    "factored,verbatim,norm",
+    [(f_polarized, _verbatim_f_polarized, n_polarized), (f_unpolarized, _verbatim_f_unpolarized, norm_unpolarized)],
+    ids=["polarized", "unpolarized"],
+)
+def test_harmonic_matches_printed_form_at_random_points(factored, verbatim, norm, b, chi1, chi2):
+    speed = Speed(b)
+    assert abs(factored(speed, chi1, chi2) - verbatim(speed, chi1, chi2)) <= 1e-14 * norm(speed)
+
+
+def _mp_joint(mp, model, beta, chi1, chi2):
+    """The printed half-angle law at 50 digits, from the same double inputs."""
+    b, x1, x2 = mp.mpf(beta), mp.mpf(chi1), mp.mpf(chi2)
+    half_sum, half_diff = (x1 + x2) / 2, (x1 - x2) / 2
+    if model is CorrelationModel.POLARIZED:
+        r = b / (1 + mp.sqrt(1 - b * b))
+        a = 1 - r * r * (1 - r) + 2 * b * b * (1 - r * r) ** 2
+        bb = r * (1 + r) + 8 * b * b * r * r
+        c = 1 + r * r * (1 - r) + 2 * b * (1 - r**4)
+        d = r * (1 + r)
+        f = (a * mp.cos(half_sum) + bb * mp.sin(half_diff)) ** 2 + (c * mp.sin(half_sum) + d * mp.cos(half_diff)) ** 2
+        return f / (2 * (a * a + bb * bb + c * c + d * d))
+    b2 = b * b
+    w_sin, w_cos, w_const = 2 * b2 * b2 * (1 + 2 * b2) - 3 * (1 + b2), 1 + b2 + 2 * b2 * b2, 5 * (1 - b2)
+    f = w_sin * mp.sin(half_diff) ** 2 + w_cos * mp.cos(half_sum) ** 2 + w_const
+    return f / (8 * (2 - 3 * b2 + b2 * b2 + b2**3))
+
+
+@pytest.mark.parametrize(
+    "model,verbatim,norm",
+    [
+        (CorrelationModel.POLARIZED, _verbatim_f_polarized, n_polarized),
+        (CorrelationModel.UNPOLARIZED, _verbatim_f_unpolarized, norm_unpolarized),
+    ],
+    ids=["polarized", "unpolarized"],
+)
+def test_joint_no_less_accurate_than_printed_form(model, verbatim, norm):
+    # Mean absolute error against 50-digit values over 1500 seeded points.
+    mpmath = pytest.importorskip("mpmath")
+    points = np.random.default_rng(1500).uniform(
+        [0.0, -4.0 * math.pi, -4.0 * math.pi], [1.0, 4.0 * math.pi, 4.0 * math.pi], size=(1500, 3)
+    )
+    errors = []
+    with mpmath.workdps(50):
+        for b, x1, x2 in points.tolist():
+            speed, exact = Speed(b), _mp_joint(mpmath, model, b, x1, x2)
+            values = (joint(model, speed, x1, x2), verbatim(speed, x1, x2) / norm(speed))
+            errors.append([abs(float(mpmath.mpf(float(v)) - exact)) for v in values])
+    harmonic, printed = np.mean(errors, axis=0)
+    assert harmonic <= printed
