@@ -179,6 +179,13 @@ class TestSearch:
         result = search_violation(_P, Speed(beta), SearchSettings(grid_step_deg=360.0))
         assert result.s_value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("beta,expected", [(0.3, -0.7281987574496541), (0.9, -0.8909844025787335)])
+    def test_see_saw_leaves_saddle(self, beta, expected):
+        # At (0, 0, 0, 0) the first sweep of the reference see-saw only makes
+        # a level move; it must carry on to the 5-degree minimum.
+        quad = _see_saw(_P, Speed(beta), AngleQuad(0.0, 0.0, 0.0, 0.0))
+        assert s_value(_P, Speed(beta), quad).s_value == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("model", list(CorrelationModel))
     @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99))
     def test_search_reaches_global_optimum(self, model, beta):
@@ -329,6 +336,45 @@ def _loop_coarse_minimum(model, speed, settings):
     ties = zip(*np.nonzero(total == total.min()))
     _, i, j, k, l = min((total[i, k], i, int(best_j[i, k]), k, int(best_l[i, k])) for i, k in ties)
     return AngleQuad(grid[i], grid[j], grid[k], grid[l])
+
+
+def _loop_exact_coarse_minimum(model, speed, settings, block_rows=None):
+    """The reference coarse argmin with the tie-break of ``np.argmin`` replaced.
+
+    Cell totals are formed ``block_rows`` x1 rows at a time (None: all at
+    once), with the arithmetic of ``_coarse_minimum``; a Python loop then
+    visits the cells in (x1, x1') order and keeps the first lowest one.
+    """
+    n = settings.grid_size
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    fourier = _fourier_rows(grid)
+    c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T
+    m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
+    m1 = marginal(model, speed, 1, grid)
+    block, best = block_rows or grid.size, None
+    for lo in range(0, grid.size, block):
+        ci, si = c[lo : lo + block, None], s[lo : lo + block, None]
+        gc, gs, hc, hs = ci + (c - m2c), si + (s - m2s), c - ci, s - si
+        total = (2.0 * c0 - m20 - m1) - np.sqrt(gc * gc + gs * gs) - np.sqrt(hc * hc + hs * hs)
+        for r in range(total.shape[0]):
+            for k in range(grid.size):
+                if best is None or total[r, k] < best[0]:
+                    best = (total[r, k], lo + r, k, gc[r, k], gs[r, k], hc[r, k], hs[r, k])
+    _, i, k, gc, gs, hc, hs = best
+    x2, x2p = math.atan2(-gs, -gc) % TWO_PI, math.atan2(-hs, -hc) % TWO_PI
+    return AngleQuad(grid[i], x2, grid[k], x2p)
+
+
+@pytest.mark.parametrize("block_rows", (None, 1, 7))   # 7 splits the 36-row grid unevenly
+@pytest.mark.parametrize("step", (10.0, 30.0, 90.0))
+@pytest.mark.parametrize("model", list(CorrelationModel))
+@pytest.mark.parametrize("beta", (0.0, 0.5, 0.95))
+def test_coarse_tie_break_matches_loop(block_rows, step, model, beta):
+    # The reference grid search that bounds the exact search must itself pick
+    # the first lowest cell.
+    settings = SearchSettings(grid_step_deg=step)
+    expected = _loop_exact_coarse_minimum(model, Speed(beta), settings, block_rows)
+    assert _coarse_minimum(model, Speed(beta), settings) == expected
 
 
 _PARITY_GRIDS = [(2.0, [k / 10 for k in range(11)])] + [
