@@ -4,85 +4,15 @@ Closed-form joint and single-spin probabilities for the polarized and
 unpolarized setups, an independent Dirac-algebra oracle that rebuilds the
 same intensities numerically, and a deterministic CHSH violation search
 over detector angles and particle speed.
+
+The package re-exports the names of the README library example; the rest
+of the library is reached through its modules, all of which
+``import spincorr`` loads.
 """
 
-from .chsh import (
-    AngleQuad,
-    ChshResult,
-    SearchSettings,
-    beta_scan,
-    is_violation,
-    s_value,
-    scan_csv,
-    scan_json_payload,
-    search_violation,
-    violation_fraction,
-)
-from .closed_form import (
-    CoefficientSet,
-    CorrelationModel,
-    JointProbability,
-    coefficients,
-    f_polarized,
-    f_unpolarized,
-    joint,
-    joint_probability,
-    marginal,
-    marginal1_polarized,
-    marginal2_polarized,
-    marginal_unpolarized,
-    n_polarized,
-    norm_unpolarized,
-    p_polarized,
-    p_unpolarized,
-    unpolarized_coefficients,
-)
-from .dirac import (
-    FourVector,
-    METRIC,
-    METRIC_SIGNS,
-    PAULI,
-    bilinear,
-    dirac_adjoint,
-    gamma,
-    slash,
-    trace_product,
-)
-from .kinematics import (
-    BETA_ORACLE_MAX,
-    Config,
-    Invariants,
-    MomentumSet,
-    Speed,
-    invariants,
-    momenta,
-    polarized_final_spinors,
-    polarized_initial_spinors,
-    rho,
-    unpolarized_final_spinors,
-    unpolarized_initial_basis,
-    xi,
-    zeta,
-)
-from .oracle import (
-    ConsistencyReport,
-    CrossOracleReport,
-    FitError,
-    TrigFit,
-    amplitude_polarized,
-    consistency_report,
-    cross_check_unpolarized,
-    fit_polarized,
-    fit_unpolarized,
-    quad_unpolarized,
-    quad_unpolarized_complex,
-    spin_average_oracle,
-)
-from .verification import (
-    REFERENCE_POINTS,
-    VerificationReport,
-    anchor_reports,
-    run_verification,
-)
+from . import chsh, closed_form, dirac, kinematics, oracle, verification
+from .chsh import AngleQuad, SearchSettings, s_value, search_violation
+from .closed_form import CorrelationModel, p_unpolarized
+from .kinematics import Speed
 
 __version__ = "0.1.0"

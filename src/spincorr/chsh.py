@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closed_form import CorrelationModel, joint, marginal
+from .closed_form import PROBES, CorrelationModel, harmonic_matrix, joint, marginal
 from .kinematics import Speed
 
 TWO_PI = 2.0 * math.pi
@@ -141,16 +141,6 @@ def s_value(model: CorrelationModel, speed: Speed, quad: AngleQuad) -> ChshResul
     )
 
 
-def _fourier_rows(grid: np.ndarray) -> np.ndarray:
-    """Rows turning c0 + c cos(x) + s sin(x) at >= 3 equispaced ``grid`` angles into (c0, c, s)."""
-    return np.array([np.ones_like(grid), 2.0 * np.cos(grid), 2.0 * np.sin(grid)]) / grid.size
-
-
-# Three angles are the fewest that fix a first harmonic; they serve as the
-# sample grid when the step leaves fewer than three grid angles.
-_PROBES = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
-
-
 def search_violation(
     model: CorrelationModel, speed: Speed, settings: SearchSettings | None = None
 ) -> ChshResult:
@@ -166,9 +156,8 @@ def search_violation(
     """
     settings = settings or SearchSettings()
     n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
-    fourier = _fourier_rows(grid)
-    a = fourier @ joint(model, speed, grid[:, None], grid[None, :]) @ fourier.T
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else PROBES
+    a = harmonic_matrix(joint(model, speed, grid[:, None], grid[None, :]), grid)
     t = a[1:, 1:]   # rows: (cos, sin) of x1; columns: (cos, sin) of x2
     te, tf = t[:, 0], t[:, 1]
     theta = math.atan2(math.hypot(*tf), math.hypot(*te))

@@ -301,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("verify", help="anchors, identity battery, oracle fits, cross checks")
+    p = sub.add_parser(
+        "verify",
+        help="anchors, identity battery, oracle template weights (read from the polarized kernel "
+        "and the unpolarized probe matrix, gated on a 24x24 grid), cross checks",
+    )
     p.add_argument("--tolerance", type=float, default=DEFAULT_COEFF_TOLERANCE,
                    help="coefficient agreement tolerance for fit verdicts")
     p.add_argument("--strict-cross-oracle", action="store_true",

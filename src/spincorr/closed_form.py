@@ -99,28 +99,47 @@ def _polarized_norm(cs: CoefficientSet) -> float:
     return 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
 
 
-def _weights(model: CorrelationModel, speed: Speed):
-    """Harmonic weights (k0, k1, k2, kc, ks) of the model's intensity, and its normalization.
+def _template_weights(model: CorrelationModel, coeffs):
+    """Harmonic weights (k0, k1, k2, kc, ks) of a template with the given coefficients.
 
-    Polarized: with sigma, delta = (chi1 +- chi2) / 2 the squared brackets
+    ``coeffs`` is (a, b, c, d) for the polarized two-bracket template and
+    (w_sin, w_cos, w_const) for the unpolarized one.  Polarized: with
+    sigma, delta = (chi1 +- chi2) / 2 the squared brackets
     (a cos sigma + b sin delta)^2 + (c sin sigma + d cos delta)^2 expand to
     N/4 + ab (sin chi1 - sin chi2) + cd (sin chi1 + sin chi2)
     + (a^2 - c^2)/2 cos(chi1 + chi2) + (d^2 - b^2)/2 cos(chi1 - chi2).
     Unpolarized: sin^2 delta and cos^2 sigma expand the same way.
     """
     if model is CorrelationModel.POLARIZED:
-        cs = coefficients(speed)
-        a2, b2, c2, d2 = cs.a**2, cs.b**2, cs.c**2, cs.d**2
-        ab, cd = cs.a * cs.b, cs.c * cs.d
-        weights = (
+        a, b, c, d = coeffs
+        a2, b2, c2, d2 = a**2, b**2, c**2, d**2
+        ab, cd = a * b, c * d
+        return (
             0.5 * (a2 + b2 + c2 + d2), ab + cd, cd - ab, 0.5 * (a2 - b2 - c2 + d2), 0.5 * (c2 + d2 - a2 - b2)
         )
-        return weights, _polarized_norm(cs)
     if model is CorrelationModel.UNPOLARIZED:
-        w_sin, w_cos, w_const = unpolarized_coefficients(speed)
-        weights = (0.5 * (w_sin + w_cos) + w_const, 0.0, 0.0, 0.5 * (w_cos - w_sin), -0.5 * (w_sin + w_cos))
-        return weights, norm_unpolarized(speed)
+        w_sin, w_cos, w_const = coeffs
+        return (0.5 * (w_sin + w_cos) + w_const, 0.0, 0.0, 0.5 * (w_cos - w_sin), -0.5 * (w_sin + w_cos))
     raise ValueError(f"unknown model {model!r}")
+
+
+def _weights(model: CorrelationModel, speed: Speed):
+    """Harmonic weights of the model's intensity at this speed, and its normalization."""
+    if model is CorrelationModel.POLARIZED:
+        cs = coefficients(speed)
+        return _template_weights(model, cs.as_tuple()), _polarized_norm(cs)
+    if model is CorrelationModel.UNPOLARIZED:
+        return _template_weights(model, unpolarized_coefficients(speed)), norm_unpolarized(speed)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def template_value(model: CorrelationModel, coeffs, chi1, chi2):
+    """Evaluate the model's template with the given coefficients; broadcasts over angles.
+
+    ``coeffs`` is (a, b, c, d) for the polarized template and
+    (w_sin, w_cos, w_const) for the unpolarized one.
+    """
+    return _harmonic(_template_weights(model, coeffs), chi1, chi2)
 
 
 def f_polarized(speed: Speed, chi1, chi2):
@@ -231,6 +250,22 @@ def marginal(model: CorrelationModel, speed: Speed, which: int, chi):
 def joint_probability(model: CorrelationModel, speed: Speed, chi1: float, chi2: float) -> JointProbability:
     """Typed scalar wrapper around :func:`joint`."""
     return JointProbability.of(joint(model, speed, chi1, chi2))
+
+
+# Three angles are the fewest that fix a first harmonic.
+PROBES = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+PROBES.setflags(write=False)
+
+
+def harmonic_matrix(table, grid):
+    """The 3 x 3 matrix A with table[i, j] = n(grid[i])^T A n(grid[j]), n = (1, cos, sin).
+
+    ``grid`` holds at least three equispaced angles covering the full
+    circle; the fold is exact when the table is a first harmonic in each
+    angle, as every law here is.
+    """
+    fourier = np.array([np.ones_like(grid), 2.0 * np.cos(grid), 2.0 * np.sin(grid)]) / grid.size
+    return fourier @ table @ fourier.T
 
 
 FOUR_PAIR_SHIFTS = ((0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi))

@@ -29,11 +29,13 @@ raw channel denominators are multiplied out).  At fixed speed that is an
 angle-independent rescale, absorbed by the fit ``scale``; it keeps the
 rest-frame limit finite, where the exchange denominator vanishes.
 
-Angular shapes are then fitted to the closed-form trigonometric templates
-with exact linear least squares.  The fit residual on a disjoint validation
-grid establishes whether the numeric intensity has the template shape at
-all; the fitted-versus-closed-form coefficient table is reported without
-being adjudicated.
+The closed-form template weights are then read from the oracle, not
+fitted: the polarized (a, b, c, d) from the entries of the kernel K, the
+unpolarized weights from the 3 x 3 harmonic matrix of the spin average at
+the probe angles.  The residual of the read template on a 24 x 24
+validation grid establishes whether the numeric intensity has the template
+shape at all; the fitted-versus-closed-form coefficient table is reported
+without being adjudicated.
 """
 
 from __future__ import annotations
@@ -41,12 +43,19 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import CorrelationModel, coefficients, unpolarized_coefficients
+from .closed_form import (
+    PROBES,
+    CorrelationModel,
+    coefficients,
+    harmonic_matrix,
+    template_value,
+    unpolarized_coefficients,
+)
 from .dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from .kinematics import (
     Config,
@@ -71,12 +80,10 @@ DEFAULT_COEFF_TOLERANCE = 1e-6
 #: Relative residual below which the template shape is considered exact.
 TEMPLATE_RESIDUAL_TOLERANCE = 1e-9
 
-FIT_SAMPLE_COUNT = 16
+#: Oracle calls a fit makes before validating: the unpolarized read takes
+#: one per probe pair, the polarized read none.
+FIT_SAMPLE_COUNT = PROBES.size**2
 VALIDATION_GRID_N = 24
-
-
-class FitError(RuntimeError):
-    """Raised when the fit design matrix is rank deficient."""
 
 
 def _point_or_batch(values: np.ndarray, kind: type):
@@ -234,63 +241,32 @@ def quad_unpolarized(speed: Speed, chi1, chi2):
 
 
 # ----------------------------------------------------------------------
-# template fits
+# template reads
 # ----------------------------------------------------------------------
 
 
-def _van_der_corput(index: int, base: int) -> float:
-    fraction, value = 1.0, 0.0
-    while index > 0:
-        fraction /= base
-        value += fraction * (index % base)
-        index //= base
-    return value
-
-
-def fit_sample_angles(count: int = FIT_SAMPLE_COUNT) -> np.ndarray:
-    """Deterministic low-discrepancy angle pairs in [0, 2 pi)^2 (Halton style)."""
-    return np.array(
-        [
-            [2.0 * math.pi * _van_der_corput(i, 2), 2.0 * math.pi * _van_der_corput(i, 3)]
-            for i in range(1, count + 1)
-        ]
-    )
-
-
 def validation_grid(n: int = VALIDATION_GRID_N) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform n x n grid, offset half a cell so it avoids the fit points."""
+    """Uniform n x n grid, offset half a cell so it avoids the probe angles."""
     axis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     return np.meshgrid(axis, axis, indexing="ij")
 
 
-def _template_value(model: CorrelationModel, coeffs, chi1, chi2):
-    """Evaluate a closed-form template shape with the given weights.
-
-    ``coeffs`` is (a, b, c, d) for the polarized two-bracket template and
-    (w_sin, w_cos, w_const) for the unpolarized one; angles broadcast.
-    """
-    half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
-    half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
-    if model is CorrelationModel.POLARIZED:
-        a, b, c, d = coeffs
-        return (a * np.cos(half_sum) + b * np.sin(half_diff)) ** 2 + (
-            c * np.sin(half_sum) + d * np.cos(half_diff)
-        ) ** 2
-    w_sin, w_cos, w_const = coeffs
-    return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const
+_VALIDATION_GRID = validation_grid()
+_read_only(*_VALIDATION_GRID)
 
 
 @dataclass(frozen=True)
 class TrigFit:
-    """Result of fitting an oracle's angular shape to a closed-form template.
+    """Closed-form template weights read from an oracle, with their validation.
 
     ``coefficients`` holds (a, b, c, d) for the polarized two-bracket
-    template or (w_sin, w_cos, w_const) for the unpolarized one.
-    ``residual`` is the max absolute deviation on the validation grid and
-    ``rel_residual`` the same divided by the largest sampled magnitude.
-    ``scale`` is the least-squares proportionality constant between the
-    fitted coefficients and the closed-form ones; dividing the fitted
-    vector by it makes the two directly comparable.
+    template, read from the kernel, or (w_sin, w_cos, w_const) for the
+    unpolarized one, read from the probe matrix.  ``residual`` is the max
+    absolute deviation of the template from the oracle on the validation
+    grid and ``rel_residual`` the same divided by the largest sampled
+    magnitude.  ``scale`` is the least-squares proportionality constant
+    between the read coefficients and the closed-form ones; dividing the
+    read vector by it makes the two directly comparable.
     """
 
     model: CorrelationModel
@@ -300,108 +276,8 @@ class TrigFit:
     scale: float
 
     def evaluate(self, chi1, chi2):
-        """Evaluate the fitted template at the given angles."""
-        return _template_value(self.model, self.coefficients, chi1, chi2)
-
-
-def _polarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
-    """Design matrix over the six quadratic monomials a^2, b^2, ab, c^2, d^2, cd."""
-    half_sum = 0.5 * (chi1 + chi2)
-    half_diff = 0.5 * (chi1 - chi2)
-    return np.stack(
-        [
-            np.cos(half_sum) ** 2,
-            np.sin(half_diff) ** 2,
-            2.0 * np.cos(half_sum) * np.sin(half_diff),
-            np.sin(half_sum) ** 2,
-            np.cos(half_diff) ** 2,
-            2.0 * np.sin(half_sum) * np.cos(half_diff),
-        ],
-        axis=-1,
-    )
-
-
-def _reconstruct_brackets(
-    monomials: np.ndarray, chi1: np.ndarray, chi2: np.ndarray, values: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Recover (a, b, c, d) from least-squares quadratic monomial weights.
-
-    The six monomial functions span only five dimensions (the two squared
-    brackets share a constant), so the least-squares solution is defined up
-    to the null direction (1, -1, 0, 1, -1, 0).  Only null-free combinations
-    are read off; the split of a^2+c^2 versus b^2+d^2 between the two roots
-    of the consistency quadratic is decided by re-evaluating both candidate
-    reconstructions against the samples.  Signs follow the convention
-    a >= 0, c >= 0, with b and d taking the signs of the fitted products
-    ab and cd.
-    """
-    total = monomials[0] + monomials[1] + monomials[3] + monomials[4]  # a^2+b^2+c^2+d^2
-    delta_ac = monomials[0] - monomials[3]  # a^2 - c^2
-    delta_db = monomials[4] - monomials[1]  # d^2 - b^2
-    prod_ab = monomials[2]
-    prod_cd = monomials[5]
-
-    # s1 = a^2 + c^2 and s2 = b^2 + d^2 solve z^2 - total*z + product = 0.
-    product = delta_ac * delta_db + 2.0 * (prod_ab**2 + prod_cd**2)
-    disc = math.sqrt(max(total * total - 4.0 * product, 0.0))
-    z_hi = 0.5 * (total + disc)
-    z_lo = 0.5 * (total - disc)
-
-    floor = 1e-9 * max(abs(total), 1e-300)
-
-    def build(s1: float, s2: float) -> tuple[float, float, float, float]:
-        a_sq = max(0.5 * (s1 + delta_ac), 0.0)
-        c_sq = max(0.5 * (s1 - delta_ac), 0.0)
-        a = math.sqrt(a_sq)
-        c = math.sqrt(c_sq)
-        # Dividing the fitted products by a (or c) keeps full precision; the
-        # square roots of the s2 splits are noise-amplified and only used
-        # when the partner weight genuinely vanishes.
-        if a_sq > floor:
-            b = prod_ab / a
-        else:
-            b = math.copysign(math.sqrt(max(0.5 * (s2 - delta_db), 0.0)), prod_ab)
-        if c_sq > floor:
-            d = prod_cd / c
-        else:
-            d = math.copysign(math.sqrt(max(0.5 * (s2 + delta_db), 0.0)), prod_cd)
-        return (a, b, c, d)
-
-    best = None
-    for s1, s2 in ((z_hi, z_lo), (z_lo, z_hi)):
-        candidate = build(s1, s2)
-        fitted = _template_value(CorrelationModel.POLARIZED, candidate, chi1, chi2)
-        residual = float(np.max(np.abs(fitted - values)))
-        if best is None or residual < best[0]:
-            best = (residual, candidate)
-    return best[1]
-
-
-def _unpolarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
-    half_sum = 0.5 * (chi1 + chi2)
-    half_diff = 0.5 * (chi1 - chi2)
-    return np.stack(
-        [np.sin(half_diff) ** 2, np.cos(half_sum) ** 2, np.ones_like(half_sum)], axis=-1
-    )
-
-
-# The fit points, their design matrices and the validation grid are fixed.
-_FIT_POINTS = fit_sample_angles()
-_read_only(_FIT_POINTS)
-_FIT_CHI1, _FIT_CHI2 = _FIT_POINTS.T
-_POLARIZED_DESIGN = _polarized_design(_FIT_CHI1, _FIT_CHI2)
-_UNPOLARIZED_DESIGN = _unpolarized_design(_FIT_CHI1, _FIT_CHI2)
-_VALIDATION_GRID = validation_grid()
-_read_only(_POLARIZED_DESIGN, _UNPOLARIZED_DESIGN, *_VALIDATION_GRID)
-
-
-def _solve_design(design: np.ndarray, sample_fn, min_rank: int):
-    """Least squares of the oracle at the fit points; returns (solution, values)."""
-    values = np.array([sample_fn(a, b) for a, b in zip(_FIT_CHI1, _FIT_CHI2)])
-    solution, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < min_rank:
-        raise FitError(f"fit design matrix is rank deficient (rank {rank} < {min_rank})")
-    return solution, values
+        """Evaluate the read template at the given angles."""
+        return template_value(self.model, self.coefficients, chi1, chi2)
 
 
 def _projection_scale(fitted: np.ndarray, reference: np.ndarray) -> float:
@@ -410,40 +286,65 @@ def _projection_scale(fitted: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _finish_fit(model, coeffs, reference, sample_fn) -> TrigFit:
-    fit = TrigFit(
-        model=model,
-        coefficients=tuple(float(c) for c in coeffs),
-        residual=0.0,
-        rel_residual=0.0,
-        scale=_projection_scale(np.asarray(coeffs, dtype=float), np.asarray(reference)),
-    )
+    coeffs = tuple(float(c) for c in coeffs)
     grid1, grid2 = _VALIDATION_GRID
     sampled = np.array(
         [sample_fn(a, b) for a, b in zip(grid1.ravel(), grid2.ravel())]
     ).reshape(grid1.shape)
-    residual = float(np.max(np.abs(fit.evaluate(grid1, grid2) - sampled)))
-    return replace(fit, residual=residual, rel_residual=residual / float(np.max(np.abs(sampled))))
+    residual = float(np.max(np.abs(template_value(model, coeffs, grid1, grid2) - sampled)))
+    return TrigFit(
+        model=model,
+        coefficients=coeffs,
+        residual=residual,
+        rel_residual=residual / float(np.max(np.abs(sampled))),
+        scale=_projection_scale(np.asarray(coeffs), np.asarray(reference)),
+    )
 
 
 def fit_polarized(speed: Speed) -> TrigFit:
-    """Fit |amplitude|^2 of the polarized setup to the two-bracket template.
+    """Read the two-bracket template weights from the polarized kernel, then validate.
 
-    Samples the oracle on the deterministic low-discrepancy pairs, solves
-    the expanded quadratic-monomial system by exact least squares,
-    reconstructs the bracket weights, and validates on a disjoint grid.
+    conj(zeta(chi1)) K zeta(chi2) equals
+    (a cos sigma + b sin delta) + i (c sin sigma + d cos delta), with
+    sigma, delta = (chi1 +- chi2) / 2, exactly when
+    K = [[i(d - b), a + c], [a - c, i(b + d)]].  So
+    v = (K01, K10, i K00, i K11) is (a + c, a - c, b - d, -(b + d)) up to
+    a global phase, which the phase of sum(v^2) removes up to a sign.  The
+    signs follow the convention a >= 0, c >= 0; flipping (a, b) or (c, d)
+    leaves the template unchanged.  The read takes no oracle samples; any
+    part of K outside the template form shows in the grid residual.
     """
-    sample = lambda a, b: abs(amplitude_polarized(speed, a, b)) ** 2
-    monomials, values = _solve_design(_POLARIZED_DESIGN, sample, min_rank=5)
-    coeffs = _reconstruct_brackets(monomials, _FIT_CHI1, _FIT_CHI2, values)
+    require_subluminal(speed)
+    kernel = _polarized_blocks(speed).amplitude
+    v = np.array([kernel[0, 1], kernel[1, 0], 1j * kernel[0, 0], 1j * kernel[1, 1]])
+    v = (v * np.exp(-0.5j * np.angle(np.sum(v * v)))).real
+    a, c = 0.5 * (v[0] + v[1]), 0.5 * (v[0] - v[1])
+    b, d = 0.5 * (v[2] - v[3]), -0.5 * (v[2] + v[3])
+    if a < 0.0:
+        a, b = -a, -b
+    if c < 0.0:
+        c, d = -c, -d
+    sample = lambda chi1, chi2: abs(amplitude_polarized(speed, chi1, chi2)) ** 2
     return _finish_fit(
-        CorrelationModel.POLARIZED, coeffs, coefficients(speed).as_tuple(), sample
+        CorrelationModel.POLARIZED, (a, b, c, d), coefficients(speed).as_tuple(), sample
     )
 
 
 def fit_unpolarized(speed: Speed) -> TrigFit:
-    """Fit the spin-averaged oracle to the three-term unpolarized template."""
+    """Read the three unpolarized template weights from the probe matrix, then validate.
+
+    The spin average is a first harmonic in each angle,
+    n(chi1)^T A n(chi2) with n = (1, cos, sin), so its table at the probe
+    angles, one oracle call per pair, fixes A.  The template
+    w_sin sin^2 delta + w_cos cos^2 sigma + w_const has
+    A00 = w_const + (w_sin + w_cos)/2, A11 = (w_cos - w_sin)/2 and
+    A22 = -(w_sin + w_cos)/2, which give the weights; any other part of A,
+    or any higher harmonic, shows in the grid residual.
+    """
     sample = lambda a, b: spin_average_oracle(speed, a, b)
-    coeffs, _ = _solve_design(_UNPOLARIZED_DESIGN, sample, min_rank=3)
+    table = np.array([[sample(a, b) for b in PROBES] for a in PROBES])
+    m = harmonic_matrix(table, PROBES)
+    coeffs = (-m[1, 1] - m[2, 2], m[1, 1] - m[2, 2], m[0, 0] + m[2, 2])
     return _finish_fit(
         CorrelationModel.UNPOLARIZED, coeffs, unpolarized_coefficients(speed), sample
     )
@@ -459,7 +360,7 @@ class ConsistencyReport:
     """Fitted-versus-closed-form coefficient comparison at one speed.
 
     ``printed`` holds the closed-form template weights and ``fitted`` the
-    raw fit output; deviations are taken after dividing the fitted vector
+    weights read from the oracle; deviations are taken after dividing the fitted vector
     by ``scale`` and are normalized by the largest closed-form weight.
     ``verdict`` is True when every deviation is below the tolerance; it is
     diagnostic output, never an assertion.
@@ -490,7 +391,7 @@ class ConsistencyReport:
 def consistency_report(
     model: CorrelationModel, speed: Speed, tolerance: float = DEFAULT_COEFF_TOLERANCE
 ) -> ConsistencyReport:
-    """Run the template fit for one model and tabulate it against closed form."""
+    """Read the template weights for one model and tabulate them against closed form."""
     if model is CorrelationModel.POLARIZED:
         fit = fit_polarized(speed)
         reference = coefficients(speed).as_tuple()

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 import spincorr
 from spincorr import chsh
 from spincorr.chsh import (
-    _PROBES,
     TWO_PI,
     AngleQuad,
     SearchSettings,
-    _fourier_rows,
     beta_scan,
     is_violation,
     s_value,
@@ -25,7 +24,7 @@ from spincorr.chsh import (
     search_violation,
     violation_fraction,
 )
-from spincorr.closed_form import CorrelationModel, joint, marginal
+from spincorr.closed_form import PROBES, CorrelationModel, joint, marginal
 from spincorr.kinematics import Speed
 
 # Regression pins, hand-derived before the build by six-term evaluation of
@@ -194,7 +193,7 @@ class TestSearch:
         # 2 A00 - 1 - 2 |A[1:, 1:]|_F, here read from the three probe angles.
         # The unpolarized marginals are flat as well.
         speed = Speed(beta)
-        a = _FOURIER @ joint(model, speed, _PROBES[:, None], _PROBES[None, :]) @ _FOURIER.T
+        a = _FOURIER @ joint(model, speed, PROBES[:, None], PROBES[None, :]) @ _FOURIER.T
         if model is _U:
             assert np.abs(a[0, 1:]).max() < 1e-12 and np.abs(a[1:, 0]).max() < 1e-12
         optimum = 2.0 * a[0, 0] - 1.0 - 2.0 * np.linalg.norm(a[1:, 1:])
@@ -232,7 +231,12 @@ def test_search_makes_one_square_joint_call(monkeypatch, model):
 
 # The grid search and see-saw that the exact optimum replaced, kept
 # verbatim as the reference search.
-_FOURIER = _fourier_rows(_PROBES)
+def _fourier_rows(grid: np.ndarray) -> np.ndarray:
+    """Rows turning c0 + c cos(x) + s sin(x) at >= 3 equispaced ``grid`` angles into (c0, c, s)."""
+    return np.array([np.ones_like(grid), 2.0 * np.cos(grid), 2.0 * np.sin(grid)]) / grid.size
+
+
+_FOURIER = _fourier_rows(PROBES)
 
 
 def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSettings):
@@ -248,7 +252,7 @@ def _coarse_minimum(model: CorrelationModel, speed: Speed, settings: SearchSetti
     Time and memory are quadratic in grid size.
     """
     n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else PROBES
     fourier = _fourier_rows(grid)
     c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T   # of P(x_i, .)
     m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
@@ -300,13 +304,13 @@ def _see_saw(model: CorrelationModel, speed: Speed, start: AngleQuad) -> AngleQu
     best, best_s = start, s_value(model, speed, start).s_value
     stalled = 0
     while stalled < 2:
-        p1, p1p = joint(model, speed, np.array([[x1], [x1p]]), _PROBES)   # (2, 3), never square
-        m2 = marginal(model, speed, 2, _PROBES)
+        p1, p1p = joint(model, speed, np.array([[x1], [x1p]]), PROBES)   # (2, 3), never square
+        m2 = marginal(model, speed, 2, PROBES)
         x2, _ = _lowest(p1 + p1p - m2)
         x2p, _ = _lowest(p1p - p1)
-        q2, q2p = joint(model, speed, _PROBES[:, None], np.array([x2, x2p])).T   # (3, 2)
+        q2, q2p = joint(model, speed, PROBES[:, None], np.array([x2, x2p])).T   # (3, 2)
         x1, k_min = _lowest(q2 - q2p)
-        x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, _PROBES))
+        x1p, l_min = _lowest(q2 + q2p - marginal(model, speed, 1, PROBES))
         s = k_min + l_min - _value_at(m2, x2)
         if s < best_s:
             best, best_s, stalled = AngleQuad(x1, x2, x1p, x2p), s, 0
@@ -346,7 +350,7 @@ def _loop_exact_coarse_minimum(model, speed, settings, block_rows=None):
     visits the cells in (x1, x1') order and keeps the first lowest one.
     """
     n = settings.grid_size
-    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else _PROBES
+    grid = np.radians(np.arange(n) * settings.grid_step_deg) if n >= 3 else PROBES
     fourier = _fourier_rows(grid)
     c0, c, s = fourier @ joint(model, speed, grid[:, None], grid[None, :]).T
     m20, m2c, m2s = fourier @ marginal(model, speed, 2, grid)
@@ -394,13 +398,38 @@ def test_exact_search_no_worse_than_grid_searches(step, betas, model):
         assert exact <= s_value(model, speed, _loop_coarse_minimum(model, speed, settings)).s_value + 1e-12, beta
 
 
-def test_import_leaves_scipy_unloaded():
+def _after_fresh_import(expression: str) -> str:
+    """Print ``expression`` in a new interpreter that has run ``import sys, spincorr``."""
     package_root = str(Path(spincorr.__file__).resolve().parents[1])
     search_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=search_path)
-    probe = "import sys, spincorr; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys, spincorr; print({expression})"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _after_fresh_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+def test_import_loads_every_layer_module():
+    # The benchmark's tracer wraps the layers that ``import spincorr`` loads.
+    layers = ("dirac", "kinematics", "closed_form", "oracle", "chsh", "verification")
+    loaded = _after_fresh_import(f"[m for m in {layers!r} if 'spincorr.' + m in sys.modules]")
+    assert loaded == repr(list(layers))
+
+
+def test_readme_library_example_imports():
+    readme = (Path(spincorr.__file__).resolve().parents[2] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    (imports,) = [
+        node for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "spincorr"
+    ]
+    names = [alias.name for alias in imports.names]
+    assert "search_violation" in names
+    for name in names:
+        assert hasattr(spincorr, name), name
 
 
 class TestBetaScan:

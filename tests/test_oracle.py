@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincorr.closed_form import CorrelationModel, f_polarized
 from spincorr import oracle
+from spincorr.closed_form import PROBES, CorrelationModel, f_polarized, template_value
 from spincorr.dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from spincorr.kinematics import (
     BETA_ORACLE_MAX,
@@ -25,13 +27,13 @@ from spincorr.oracle import (
     consistency_report,
     cross_check_unpolarized,
     fit_polarized,
-    fit_sample_angles,
     fit_unpolarized,
     quad_unpolarized,
     quad_unpolarized_complex,
     spin_average_oracle,
     validation_grid,
 )
+from spincorr.verification import run_verification
 
 FIT_BETAS = (0.2, 0.5, 0.8)
 
@@ -182,11 +184,11 @@ class TestPolarizedFit:
         assert first == second
 
     def test_fit_points_are_disjoint_from_validation_grid(self):
-        pts = fit_sample_angles()
         grid1, grid2 = validation_grid()
         grid_pairs = set(zip(grid1.ravel().round(12), grid2.ravel().round(12)))
-        for chi1, chi2 in pts:
-            assert (round(chi1, 12), round(chi2, 12)) not in grid_pairs
+        for chi1 in PROBES:
+            for chi2 in PROBES:
+                assert (round(chi1, 12), round(chi2, 12)) not in grid_pairs
 
 
 class TestConsistencyReports:
@@ -220,7 +222,7 @@ class TestConsistencyReports:
         speed = Speed(0.9)
         ratios = [
             abs(amplitude_polarized(speed, a, c)) ** 2 / f_polarized(speed, a, c)
-            for a, c in fit_sample_angles(12)
+            for a, c in np.random.default_rng(29).uniform(0.0, 2.0 * math.pi, size=(12, 2))
         ]
         spread = (max(ratios) - min(ratios)) / max(ratios)
         report = consistency_report(CorrelationModel.POLARIZED, speed)
@@ -291,7 +293,7 @@ class TestUnpolarizedFit:
         # the fitted template must reproduce the oracle.
         fit = fit_unpolarized(Speed(0.0))
         speed = Speed(0.0)
-        for chi1, chi2 in fit_sample_angles(8):
+        for chi1, chi2 in np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, size=(8, 2)):
             assert fit.evaluate(chi1, chi2) == pytest.approx(
                 spin_average_oracle(speed, chi1, chi2), rel=1e-10
             )
@@ -377,13 +379,7 @@ class TestBatchedRoutes:
                 assert not array.flags.writeable
 
     def test_fit_constants_are_read_only(self):
-        for array in (
-            oracle._FIT_CHI1,
-            oracle._FIT_CHI2,
-            oracle._POLARIZED_DESIGN,
-            oracle._UNPOLARIZED_DESIGN,
-            *oracle._VALIDATION_GRID,
-        ):
+        for array in (PROBES, *oracle._VALIDATION_GRID):
             assert not array.flags.writeable
 
 
@@ -414,16 +410,175 @@ class TestKernelParity:
         np.testing.assert_allclose(route(speed, chi1, chi2), expected, rtol=rtol, atol=rtol * scale)
 
 
-class TestFitDesign:
-    def test_design_ranks_at_the_fixed_fit_points(self):
-        assert np.linalg.matrix_rank(oracle._POLARIZED_DESIGN) == 5
-        assert np.linalg.matrix_rank(oracle._UNPOLARIZED_DESIGN) == 3
 
-    def test_fit_points_are_the_sample_angles(self):
-        np.testing.assert_array_equal(
-            np.stack([oracle._FIT_CHI1, oracle._FIT_CHI2], axis=-1), fit_sample_angles()
-        )
 
-    def test_rank_deficient_design_raises(self):
-        with pytest.raises(oracle.FitError, match="rank deficient"):
-            oracle._solve_design(np.ones((oracle.FIT_SAMPLE_COUNT, 3)), lambda a, b: 1.0, 3)
+# The least-squares fit that the kernel and probe-matrix reads replaced,
+# kept as the reference the reads are checked against.  Only the template
+# evaluator is the library's.
+
+
+def _van_der_corput(index: int, base: int) -> float:
+    fraction, value = 1.0, 0.0
+    while index > 0:
+        fraction /= base
+        value += fraction * (index % base)
+        index //= base
+    return value
+
+
+def _fit_sample_angles(count: int = 16) -> np.ndarray:
+    """Deterministic low-discrepancy angle pairs in [0, 2 pi)^2 (Halton style)."""
+    return np.array(
+        [
+            [2.0 * math.pi * _van_der_corput(i, 2), 2.0 * math.pi * _van_der_corput(i, 3)]
+            for i in range(1, count + 1)
+        ]
+    )
+
+
+def _polarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
+    """Design matrix over the six quadratic monomials a^2, b^2, ab, c^2, d^2, cd."""
+    half_sum = 0.5 * (chi1 + chi2)
+    half_diff = 0.5 * (chi1 - chi2)
+    return np.stack(
+        [
+            np.cos(half_sum) ** 2,
+            np.sin(half_diff) ** 2,
+            2.0 * np.cos(half_sum) * np.sin(half_diff),
+            np.sin(half_sum) ** 2,
+            np.cos(half_diff) ** 2,
+            2.0 * np.sin(half_sum) * np.cos(half_diff),
+        ],
+        axis=-1,
+    )
+
+
+def _reconstruct_brackets(
+    monomials: np.ndarray, chi1: np.ndarray, chi2: np.ndarray, values: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Recover (a, b, c, d) from least-squares quadratic monomial weights.
+
+    The six monomial functions span only five dimensions (the two squared
+    brackets share a constant), so the least-squares solution is defined up
+    to the null direction (1, -1, 0, 1, -1, 0).  Only null-free combinations
+    are read off; the split of a^2+c^2 versus b^2+d^2 between the two roots
+    of the consistency quadratic is decided by re-evaluating both candidate
+    reconstructions against the samples.  Signs follow the convention
+    a >= 0, c >= 0, with b and d taking the signs of the fitted products
+    ab and cd.
+    """
+    total = monomials[0] + monomials[1] + monomials[3] + monomials[4]  # a^2+b^2+c^2+d^2
+    delta_ac = monomials[0] - monomials[3]  # a^2 - c^2
+    delta_db = monomials[4] - monomials[1]  # d^2 - b^2
+    prod_ab = monomials[2]
+    prod_cd = monomials[5]
+
+    # s1 = a^2 + c^2 and s2 = b^2 + d^2 solve z^2 - total*z + product = 0.
+    product = delta_ac * delta_db + 2.0 * (prod_ab**2 + prod_cd**2)
+    disc = math.sqrt(max(total * total - 4.0 * product, 0.0))
+    z_hi = 0.5 * (total + disc)
+    z_lo = 0.5 * (total - disc)
+
+    floor = 1e-9 * max(abs(total), 1e-300)
+
+    def build(s1: float, s2: float) -> tuple[float, float, float, float]:
+        a_sq = max(0.5 * (s1 + delta_ac), 0.0)
+        c_sq = max(0.5 * (s1 - delta_ac), 0.0)
+        a = math.sqrt(a_sq)
+        c = math.sqrt(c_sq)
+        if a_sq > floor:
+            b = prod_ab / a
+        else:
+            b = math.copysign(math.sqrt(max(0.5 * (s2 - delta_db), 0.0)), prod_ab)
+        if c_sq > floor:
+            d = prod_cd / c
+        else:
+            d = math.copysign(math.sqrt(max(0.5 * (s2 + delta_db), 0.0)), prod_cd)
+        return (a, b, c, d)
+
+    best = None
+    for s1, s2 in ((z_hi, z_lo), (z_lo, z_hi)):
+        candidate = build(s1, s2)
+        fitted = template_value(CorrelationModel.POLARIZED, candidate, chi1, chi2)
+        residual = float(np.max(np.abs(fitted - values)))
+        if best is None or residual < best[0]:
+            best = (residual, candidate)
+    return best[1]
+
+
+def _unpolarized_design(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
+    half_sum = 0.5 * (chi1 + chi2)
+    half_diff = 0.5 * (chi1 - chi2)
+    return np.stack(
+        [np.sin(half_diff) ** 2, np.cos(half_sum) ** 2, np.ones_like(half_sum)], axis=-1
+    )
+
+
+_FIT_CHI1, _FIT_CHI2 = _fit_sample_angles().T
+
+
+def _solve_design(design: np.ndarray, sample_fn, min_rank: int):
+    """Least squares of the oracle at the fit points; returns (solution, values)."""
+    values = np.array([sample_fn(a, b) for a, b in zip(_FIT_CHI1, _FIT_CHI2)])
+    solution, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    assert rank >= min_rank
+    return solution, values
+
+
+def _lstsq_polarized(speed):
+    sample = lambda a, b: abs(amplitude_polarized(speed, a, b)) ** 2
+    monomials, values = _solve_design(_polarized_design(_FIT_CHI1, _FIT_CHI2), sample, 5)
+    return _reconstruct_brackets(monomials, _FIT_CHI1, _FIT_CHI2, values)
+
+
+def _lstsq_unpolarized(speed):
+    sample = lambda a, b: spin_average_oracle(speed, a, b)
+    return tuple(_solve_design(_unpolarized_design(_FIT_CHI1, _FIT_CHI2), sample, 3)[0])
+
+
+class TestTemplateReads:
+    @pytest.mark.parametrize(
+        "fit, reference", [(fit_polarized, _lstsq_polarized), (fit_unpolarized, _lstsq_unpolarized)],
+        ids=["polarized", "unpolarized"],
+    )
+    def test_reads_match_the_least_squares_fit(self, fit, reference):
+        for k in range(100):
+            speed = Speed(k / 100)
+            read, expected = np.array(fit(speed).coefficients), np.array(reference(speed))
+            assert np.max(np.abs(read - expected)) <= 1e-12 * np.max(np.abs(expected)), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 0.99),
+        st.floats(-2.0 * math.pi, 4.0 * math.pi),
+        st.floats(-2.0 * math.pi, 4.0 * math.pi),
+    )
+    def test_read_template_reproduces_polarized_intensity(self, beta, chi1, chi2):
+        speed = Speed(beta)
+        fit = fit_polarized(speed)
+        norm = sum(c * c for c in fit.coefficients)
+        expected = abs(amplitude_polarized(speed, chi1, chi2)) ** 2
+        assert abs(fit.evaluate(chi1, chi2) - expected) <= 1e-12 * norm
+
+    def test_kernel_off_template_fails_the_residual_gate(self, monkeypatch):
+        original = oracle._polarized_blocks
+
+        def mutated(speed):
+            kernel = original(speed).amplitude.copy()
+            kernel[0, 0] += 1e-6 * np.max(np.abs(kernel))
+            return oracle._PolarizedBlocks(kernel)
+
+        monkeypatch.setattr(oracle, "_polarized_blocks", mutated)
+        assert fit_polarized(Speed(0.5)).rel_residual > 1e-9
+        assert not run_verification(fit_betas=(0.5,)).identities_pass
+
+    def test_second_harmonic_in_spin_average_fails_the_residual_gate(self, monkeypatch):
+        original = oracle.spin_average_oracle
+
+        def mutated(speed, chi1, chi2):
+            return original(speed, chi1, chi2) + 1e-6 * original(speed, 0.0, 0.0) * np.cos(2.0 * chi1)
+
+        monkeypatch.setattr(oracle, "spin_average_oracle", mutated)
+        assert fit_unpolarized(Speed(0.5)).rel_residual > 1e-9
+        assert not run_verification(fit_betas=(0.5,)).identities_pass
+
