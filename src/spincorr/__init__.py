@@ -12,7 +12,7 @@ of the library is reached through its modules, all of which
 
 from . import chsh, closed_form, dirac, kinematics, oracle, verification
 from .chsh import AngleQuad, SearchSettings, s_value, search_violation
-from .closed_form import CorrelationModel, p_unpolarized
+from .closed_form import CorrelationModel, joint_probability
 from .kinematics import Speed
 
 __version__ = "0.1.0"

@@ -186,17 +186,7 @@ def violation_fraction(results: Sequence[ChshResult]) -> float:
     return sum(1 for r in results if r.violated) / len(results)
 
 
-SCAN_CSV_COLUMNS = (
-    "beta",
-    "model",
-    "chi1_deg",
-    "chi2_deg",
-    "chi1p_deg",
-    "chi2p_deg",
-    "S",
-    "violated",
-)
-
+# Names of the six ``ChshResult.terms``, in order.
 TERM_NAMES = (
     "joint_11",
     "joint_12p",
@@ -205,38 +195,3 @@ TERM_NAMES = (
     "marginal_1p",
     "marginal_2",
 )
-
-
-def scan_csv(results: Sequence[ChshResult]) -> str:
-    """Render scan rows as CSV; floats use repr so parsing round-trips exactly."""
-    lines = [",".join(SCAN_CSV_COLUMNS)]
-    for r in results:
-        degs = r.angles.degrees_mod_360()
-        cells = [repr(r.beta), r.model.value]
-        cells += [repr(a) for a in degs]
-        cells += [repr(r.s_value), "true" if r.violated else "false"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def scan_json_payload(results: Sequence[ChshResult]) -> list[dict]:
-    """JSON mirror of the CSV rows, with the six per-term probabilities."""
-    payload = []
-    for r in results:
-        degs = r.angles.degrees_mod_360()
-        payload.append(
-            {
-                "beta": r.beta,
-                "model": r.model.value,
-                "angles_deg": {
-                    "chi1": degs[0],
-                    "chi2": degs[1],
-                    "chi1p": degs[2],
-                    "chi2p": degs[3],
-                },
-                "terms": dict(zip(TERM_NAMES, r.terms)),
-                "S": r.s_value,
-                "violated": r.violated,
-            }
-        )
-    return payload

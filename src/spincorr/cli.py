@@ -3,8 +3,11 @@
 Subcommands: coeffs, prob, marginal, chsh, scan, verify.  Angles are taken
 in degrees at this boundary and converted once; everything downstream is
 radians.  Data goes to stdout (or --out), diagnostics to stderr.  Exit
-codes: 0 success, 1 domain error, 2 usage error.  JSON numbers are emitted
-with 15 significant digits so round-trip identities are testable.
+codes: 0 success, 1 domain error, 2 usage error.  This is the only module
+that knows an output format: every JSON record, report dataclasses
+included, goes through one walker (``_plain``), which emits numbers with
+15 significant digits so round-trip identities are testable; scan rows are
+also written here, as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -13,37 +16,68 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from typing import Sequence
 
-from .chsh import (
-    TERM_NAMES,
-    AngleQuad,
-    SearchSettings,
-    beta_scan,
-    s_value,
-    scan_csv,
-    scan_json_payload,
-    violation_fraction,
-)
+from .chsh import TERM_NAMES, AngleQuad, ChshResult, SearchSettings, beta_scan, s_value, violation_fraction
 from .closed_form import CorrelationModel, coefficients, joint_probability, marginal
 from .kinematics import Speed
 from .oracle import DEFAULT_COEFF_TOLERANCE
 from .verification import reference_for, run_verification
 
 
-def _round15(obj):
-    """Recursively snap floats to 15 significant digits for stable JSON."""
+def _plain(obj):
+    """JSON-ready copy of any record or report the CLI writes.
+
+    Dataclasses become dicts in field order, enums their value, tuples
+    lists, and floats snap to 15 significant digits for stable output.
+    """
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(_round15(payload), indent=2) + "\n"
+    return json.dumps(_plain(payload), indent=2) + "\n"
+
+
+SCAN_CSV_COLUMNS = ("beta", "model", "chi1_deg", "chi2_deg", "chi1p_deg", "chi2p_deg", "S", "violated")
+
+
+def scan_csv(results: Sequence[ChshResult]) -> str:
+    """Render scan rows as CSV; floats use repr so parsing round-trips exactly."""
+    lines = [",".join(SCAN_CSV_COLUMNS)]
+    for r in results:
+        degs = r.angles.degrees_mod_360()
+        cells = [repr(r.beta), r.model.value]
+        cells += [repr(a) for a in degs]
+        cells += [repr(r.s_value), "true" if r.violated else "false"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def scan_json_payload(results: Sequence[ChshResult]) -> list[dict]:
+    """JSON mirror of the CSV rows, with the six per-term probabilities."""
+    return [
+        {
+            "beta": r.beta,
+            "model": r.model.value,
+            "angles_deg": dict(zip(("chi1", "chi2", "chi1p", "chi2p"), r.angles.degrees_mod_360())),
+            "terms": dict(zip(TERM_NAMES, r.terms)),
+            "S": r.s_value,
+            "violated": r.violated,
+        }
+        for r in results
+    ]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -73,7 +107,10 @@ def _parse_beta_range(spec: str) -> list[float]:
     if span >= MAX_SCAN_SPEEDS:
         raise ValueError(f"--beta-range {spec!r} gives more than {MAX_SCAN_SPEEDS} speeds")
     values = [lo + i * step for i in range(math.floor(span) + 1)]
-    return [v for v in values if v <= hi + 1e-12]
+    values = [v for v in values if v <= hi + 1e-12]
+    if not values:
+        raise ValueError(f"--beta-range {spec!r} holds no speed: lo is above hi")
+    return values
 
 
 def _parse_angles(spec: str) -> tuple[float, float, float, float]:
@@ -232,9 +269,12 @@ def _render_verify_pretty(report) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     report = run_verification(coeff_tolerance=args.tolerance)
     if args.format == "json":
-        _emit(_dump_json(report.to_dict()), args.out)
+        summary = {"identities_pass": report.identities_pass, "cross_oracle_agree": report.cross_oracle_agree}
+        _emit(_dump_json({**vars(report), **summary}), args.out)
     else:
         _emit(_render_verify_pretty(report), args.out)
     if not report.identities_pass:
@@ -294,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="violation search over a range of speeds")
     p.add_argument("--model", choices=("polarized", "unpolarized"), required=True)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta-range", default=None, help="lo:hi:step")
+    p.add_argument("--beta-range", default=None,
+                   help=f"lo:hi:step, at most {MAX_SCAN_SPEEDS} speeds; each speed costs one violation search")
     p.add_argument("--grid-step", type=float, default=5.0,
                    help="sample grid step in degrees; the search is exact, so S moves with it only at roundoff")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -307,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and the unpolarized probe matrix, gated on a 24x24 grid), cross checks",
     )
     p.add_argument("--tolerance", type=float, default=DEFAULT_COEFF_TOLERANCE,
-                   help="coefficient agreement tolerance for fit verdicts")
+                   help="coefficient agreement tolerance for fit verdicts (finite, > 0)")
     p.add_argument("--strict-cross-oracle", action="store_true",
                    help="exit nonzero when the trace expression disagrees with the spin average")
     p.add_argument("--format", choices=("pretty", "json"), default="pretty")

@@ -1,10 +1,12 @@
 """Closed-form joint spin-correlation probabilities for both setups.
 
 Everything here evaluates printed closed-form expressions directly; the
-independent numeric check lives in :mod:`spincorr.oracle`.  The joint
-probability of finding the emerging spins along directions chi1, chi2 is a
-normalized ratio F/N where the normalization sums F over the four angle
-pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
+independent numeric check lives in :mod:`spincorr.oracle`.  Each printed
+quantity is one function keyed by :class:`CorrelationModel`: ``intensity``
+F, ``norm`` N, ``joint``/``joint_probability`` F/N and ``marginal``.  The
+joint probability of finding the emerging spins along directions chi1,
+chi2 is F/N, where N sums F over the four angle pairs (chi1, chi2),
+(chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
 
 Both printed intensities are first harmonics in each full angle.  They
 are evaluated as
@@ -13,7 +15,8 @@ are evaluated as
 
 with five weights per speed, so an outer grid of n x n angle pairs takes
 4n trigonometric calls and a few passes over the n x n result.  The values
-equal the printed half-angle forms up to roundoff.
+equal the printed half-angle forms up to roundoff.  The marginal of
+particle i is 1/2 + 2 k_i sin(chi_i) / N for both models.
 
 The unpolarized law is reported verbatim even where it strays outside
 [0, 1]: it goes negative for beta above about 0.52988, the root of
@@ -95,10 +98,6 @@ def _harmonic(weights, chi1, chi2):
     return out
 
 
-def _polarized_norm(cs: CoefficientSet) -> float:
-    return 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
-
-
 def _template_weights(model: CorrelationModel, coeffs):
     """Harmonic weights (k0, k1, k2, kc, ks) of a template with the given coefficients.
 
@@ -124,12 +123,22 @@ def _template_weights(model: CorrelationModel, coeffs):
 
 
 def _weights(model: CorrelationModel, speed: Speed):
-    """Harmonic weights of the model's intensity at this speed, and its normalization."""
+    """Harmonic weights of the model's intensity F at this speed, and its printed normalization N.
+
+    Polarized N = 2(a^2 + b^2 + c^2 + d^2).  Unpolarized
+    N = 8(2 - 3 beta^2 + beta^4 + beta^6), positive on [0, 1]: 16 at rest,
+    8 at beta = 1 and least, about 5.853, at beta^2 = (sqrt(10) - 1)/3
+    (beta about 0.849).
+    """
     if model is CorrelationModel.POLARIZED:
         cs = coefficients(speed)
-        return _template_weights(model, cs.as_tuple()), _polarized_norm(cs)
+        return _template_weights(model, cs.as_tuple()), 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
     if model is CorrelationModel.UNPOLARIZED:
-        return _template_weights(model, unpolarized_coefficients(speed)), norm_unpolarized(speed)
+        b2 = speed.beta * speed.beta
+        return (
+            _template_weights(model, unpolarized_coefficients(speed)),
+            8.0 * (2.0 - 3.0 * b2 + b2 * b2 + b2 * b2 * b2),
+        )
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -140,47 +149,6 @@ def template_value(model: CorrelationModel, coeffs, chi1, chi2):
     (w_sin, w_cos, w_const) for the unpolarized one.
     """
     return _harmonic(_template_weights(model, coeffs), chi1, chi2)
-
-
-def f_polarized(speed: Speed, chi1, chi2):
-    """Unnormalized joint intensity for the polarized setup.
-
-    Sum of the squared real and imaginary template brackets
-    a cos((chi1+chi2)/2) + b sin((chi1-chi2)/2) and
-    c sin((chi1+chi2)/2) + d cos((chi1-chi2)/2); accepts scalar or array
-    angles (radians).
-    """
-    return _harmonic(_weights(CorrelationModel.POLARIZED, speed)[0], chi1, chi2)
-
-
-def n_polarized(speed: Speed) -> float:
-    """Normalization 2(a^2 + b^2 + c^2 + d^2); the four-pair sum of f_polarized."""
-    return _polarized_norm(coefficients(speed))
-
-
-def p_polarized(speed: Speed, chi1: float, chi2: float) -> JointProbability:
-    """Joint probability for the polarized setup; in [0, 1] up to roundoff.
-
-    Both brackets vanish together on a curve of (beta, chi1, chi2), for
-    example at beta = 0.75526, (chi1, chi2) = (264.6, 99.1) degrees; close to
-    it the harmonic sum can round to about -1e-16, which ``in_range`` reports.
-    """
-    return JointProbability.of(joint(CorrelationModel.POLARIZED, speed, chi1, chi2))
-
-
-def marginal1_polarized(speed: Speed, chi1):
-    """Single-spin probability for the first particle, polarized setup.
-
-    Equals the defining sum p(chi1, chi2) + p(chi1, chi2 + pi) for any chi2.
-    """
-    cs = coefficients(speed)
-    return 0.5 + 2.0 * (cs.a * cs.b + cs.c * cs.d) * np.sin(chi1) / _polarized_norm(cs)
-
-
-def marginal2_polarized(speed: Speed, chi2):
-    """Single-spin probability for the second particle, polarized setup."""
-    cs = coefficients(speed)
-    return 0.5 + 2.0 * (cs.c * cs.d - cs.a * cs.b) * np.sin(chi2) / _polarized_norm(cs)
 
 
 def unpolarized_coefficients(speed: Speed) -> tuple[float, float, float]:
@@ -194,39 +162,21 @@ def unpolarized_coefficients(speed: Speed) -> tuple[float, float, float]:
     )
 
 
-def f_unpolarized(speed: Speed, chi1, chi2):
-    """Unnormalized joint intensity for the unpolarized setup (verbatim form).
+def intensity(model: CorrelationModel, speed: Speed, chi1, chi2):
+    """Unnormalized joint intensity F of either model; broadcasts over angles (radians).
 
-    w_sin sin^2((chi1-chi2)/2) + w_cos cos^2((chi1+chi2)/2) + w_const.
-    The sin^2 weight is negative for every beta, so this is not positive
-    definite; see ``p_unpolarized``.
+    Polarized: the sum of the squared real and imaginary template brackets
+    a cos((chi1+chi2)/2) + b sin((chi1-chi2)/2) and
+    c sin((chi1+chi2)/2) + d cos((chi1-chi2)/2).  Unpolarized, verbatim:
+    w_sin sin^2((chi1-chi2)/2) + w_cos cos^2((chi1+chi2)/2) + w_const, whose
+    sin^2 weight is negative for every beta, so it is not positive definite.
     """
-    return _harmonic(_weights(CorrelationModel.UNPOLARIZED, speed)[0], chi1, chi2)
+    return _harmonic(_weights(model, speed)[0], chi1, chi2)
 
 
-def norm_unpolarized(speed: Speed) -> float:
-    """Normalization 8(2 - 3 beta^2 + beta^4 + beta^6); minimum 8 at beta = 1."""
-    b2 = speed.beta * speed.beta
-    return 8.0 * (2.0 - 3.0 * b2 + b2 * b2 + b2 * b2 * b2)
-
-
-def p_unpolarized(speed: Speed, chi1: float, chi2: float) -> JointProbability:
-    """Joint probability for the unpolarized setup, reported verbatim.
-
-    Out-of-range values (possible at large beta) are flagged via
-    ``in_range`` and never clamped or renormalized.
-    """
-    return JointProbability.of(joint(CorrelationModel.UNPOLARIZED, speed, chi1, chi2))
-
-
-def marginal_unpolarized(which: int = 1) -> float:
-    """Single-spin probability for either particle in the unpolarized setup.
-
-    Exactly one half, independent of speed and angle.
-    """
-    if which not in (1, 2):
-        raise ValueError(f"particle index must be 1 or 2, got {which!r}")
-    return 0.5
+def norm(model: CorrelationModel, speed: Speed) -> float:
+    """Printed normalization N of either model: the four-pair sum of :func:`intensity`."""
+    return _weights(model, speed)[1]
 
 
 def joint(model: CorrelationModel, speed: Speed, chi1, chi2):
@@ -236,19 +186,27 @@ def joint(model: CorrelationModel, speed: Speed, chi1, chi2):
 
 
 def marginal(model: CorrelationModel, speed: Speed, which: int, chi):
-    """Raw single-spin probability for either model; broadcasts over angles."""
+    """Single-spin probability of particle ``which`` for either model; broadcasts over angles.
+
+    Equals the defining sum p(chi1, chi2) + p(chi1, chi2 + pi) for particle
+    1 (and its mirror for particle 2) at any partner angle.  The unpolarized
+    sin weights are zero, so its marginals are exactly one half.
+    """
     if which not in (1, 2):
         raise ValueError(f"particle index must be 1 or 2, got {which!r}")
-    if model is CorrelationModel.POLARIZED:
-        fn = marginal1_polarized if which == 1 else marginal2_polarized
-        return fn(speed, chi)
-    if model is CorrelationModel.UNPOLARIZED:
-        return np.broadcast_to(0.5, np.shape(chi)) if np.ndim(chi) else 0.5
-    raise ValueError(f"unknown model {model!r}")
+    weights, n = _weights(model, speed)
+    return 0.5 + 2.0 * weights[which] * np.sin(chi) / n
 
 
 def joint_probability(model: CorrelationModel, speed: Speed, chi1: float, chi2: float) -> JointProbability:
-    """Typed scalar wrapper around :func:`joint`."""
+    """Typed scalar wrapper around :func:`joint`, reported verbatim.
+
+    Polarized values lie in [0, 1] up to roundoff: both brackets vanish
+    together on a curve of (beta, chi1, chi2), for example at beta = 0.75526,
+    (chi1, chi2) = (264.6, 99.1) degrees, and close to it the harmonic sum
+    can round to about -1e-16.  Unpolarized values leave [0, 1] at large
+    beta.  ``in_range`` flags both; nothing is clamped or renormalized.
+    """
     return JointProbability.of(joint(model, speed, chi1, chi2))
 
 

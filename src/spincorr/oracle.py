@@ -5,8 +5,9 @@ from :mod:`spincorr.closed_form`:
 
 * ``amplitude_polarized`` assembles the two-channel tree amplitude from the
   explicit external spinors and contracts Lorentz indices numerically.
-* ``quad_unpolarized`` evaluates the four-term trace expression for the
-  initially unpolarized setup verbatim, while ``spin_average_oracle``
+* ``quad_unpolarized_complex`` evaluates the four-term trace expression for
+  the initially unpolarized setup verbatim (callers take the real part; the
+  imaginary part is a numerical diagnostic), while ``spin_average_oracle``
   averages the squared amplitude over a complete initial-spin basis.  The
   two are compared against each other because transcribed trace expressions
   are easy to get wrong; the cross check is the arbiter.
@@ -235,11 +236,6 @@ def quad_unpolarized_complex(speed: Speed, chi1, chi2):
     return _point_or_batch(value, complex)
 
 
-def quad_unpolarized(speed: Speed, chi1, chi2):
-    """Real part of :func:`quad_unpolarized_complex`."""
-    return quad_unpolarized_complex(speed, chi1, chi2).real
-
-
 # ----------------------------------------------------------------------
 # template reads
 # ----------------------------------------------------------------------
@@ -375,18 +371,6 @@ class ConsistencyReport:
     scale: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "model": self.model.value,
-            "fitted": list(self.fitted),
-            "printed": list(self.printed),
-            "relative_deviation": list(self.relative_deviation),
-            "residual": self.residual,
-            "scale": self.scale,
-            "verdict": self.verdict,
-        }
-
 
 def consistency_report(
     model: CorrelationModel, speed: Speed, tolerance: float = DEFAULT_COEFF_TOLERANCE
@@ -432,16 +416,6 @@ class CrossOracleReport:
     max_rel_deviation: float
     max_imag: float
     agree: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "grid_n": self.grid_n,
-            "scale": self.scale,
-            "max_rel_deviation": self.max_rel_deviation,
-            "max_imag": self.max_imag,
-            "agree": self.agree,
-        }
 
 
 def cross_check_unpolarized(

@@ -1,12 +1,15 @@
-"""Verification battery: anchors, internal identities, oracle fits, cross checks.
+"""Verification battery: anchors, internal identities, oracle template reads, cross checks.
 
 The battery separates two kinds of outcomes on purpose:
 
-* internal identities (normalization sums, marginal sums, fit residuals)
-  are hard requirements; any failure is fatal for the ``verify`` command;
+* internal identities (four-pair sums of ``joint`` and ``intensity``, each
+  ``marginal`` against its defining sum, template-read residuals) are hard
+  requirements; any failure is fatal for the ``verify`` command;
 * gaps between computed CHSH values and the published reference figures,
   and fitted-versus-closed-form coefficient verdicts, are informational.
   They are printed side by side and never asserted.
+
+The reports are plain dataclasses, which :mod:`spincorr.cli` writes field by field.
 """
 
 from __future__ import annotations
@@ -81,35 +84,16 @@ class AnchorReport:
     gap: float
     terms: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "beta": self.beta,
-            "angles_deg": list(self.angles_deg),
-            "s_computed": self.s_computed,
-            "s_reference": self.s_reference,
-            "gap": self.gap,
-            "terms": list(self.terms),
-        }
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
     max_error: float
     tolerance: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.max_error < self.tolerance)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.max_error < self.tolerance))
 
 
 @dataclass
@@ -126,16 +110,6 @@ class VerificationReport:
     @property
     def cross_oracle_agree(self) -> bool:
         return all(report.agree for report in self.cross_oracle)
-
-    def to_dict(self) -> dict:
-        return {
-            "anchors": [a.to_dict() for a in self.anchors],
-            "identities": [c.to_dict() for c in self.identities],
-            "consistency": [r.to_dict() for r in self.consistency],
-            "cross_oracle": [r.to_dict() for r in self.cross_oracle],
-            "identities_pass": self.identities_pass,
-            "cross_oracle_agree": self.cross_oracle_agree,
-        }
 
 
 def anchor_reports() -> list[AnchorReport]:
@@ -178,22 +152,27 @@ def identity_checks(
     """
     triples = _sample_triples(samples, seed)
     shift1, shift2 = np.array(cf.FOUR_PAIR_SHIFTS).T
-    unp_marginal_error = max(abs(cf.marginal_unpolarized(w) - 0.5) for w in (1, 2))
+    pol_model, unp_model = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
     deviations = np.zeros((len(triples), len(IDENTITY_NAMES)))
     for row, (beta, chi1, chi2) in zip(deviations, triples):
         speed = Speed(beta)
         chi1s, chi2s = chi1 + shift1, chi2 + shift2
-        pol = cf.joint(CorrelationModel.POLARIZED, speed, chi1s, chi2s)
-        unp = cf.joint(CorrelationModel.UNPOLARIZED, speed, chi1s, chi2s)
+        pol = cf.joint(pol_model, speed, chi1s, chi2s)
+        unp = cf.joint(unp_model, speed, chi1s, chi2s)
         # Python's sum adds in the same order as cf.four_pair_sum.
         row[:] = (
             sum(pol) - 1.0,
             sum(unp) - 1.0,
-            sum(cf.f_polarized(speed, chi1s, chi2s)) - cf.n_polarized(speed),
-            sum(cf.f_unpolarized(speed, chi1s, chi2s)) - cf.norm_unpolarized(speed),
-            pol[0] + pol[2] - cf.marginal1_polarized(speed, chi1),
-            pol[0] + pol[1] - cf.marginal2_polarized(speed, chi2),
-            max(abs(unp[0] + unp[2] - 0.5), abs(unp[0] + unp[1] - 0.5), unp_marginal_error),
+            sum(cf.intensity(pol_model, speed, chi1s, chi2s)) - cf.norm(pol_model, speed),
+            sum(cf.intensity(unp_model, speed, chi1s, chi2s)) - cf.norm(unp_model, speed),
+            pol[0] + pol[2] - cf.marginal(pol_model, speed, 1, chi1),
+            pol[0] + pol[1] - cf.marginal(pol_model, speed, 2, chi2),
+            max(
+                abs(unp[0] + unp[2] - 0.5),
+                abs(unp[0] + unp[1] - 0.5),
+                abs(cf.marginal(unp_model, speed, 1, chi1) - 0.5),
+                abs(cf.marginal(unp_model, speed, 2, chi2) - 0.5),
+            ),
         )
     errors = np.max(np.abs(deviations), axis=0, initial=0.0)
     return [IdentityCheck(name, float(err), tolerance) for name, err in zip(IDENTITY_NAMES, errors)]

@@ -14,18 +14,7 @@ import pytest
 
 from spincorr.chsh import AngleQuad, SearchSettings, beta_scan, s_value
 from spincorr.cli import main
-from spincorr.closed_form import (
-    CorrelationModel,
-    f_polarized,
-    f_unpolarized,
-    four_pair_sum,
-    joint,
-    marginal1_polarized,
-    marginal2_polarized,
-    marginal_unpolarized,
-    n_polarized,
-    norm_unpolarized,
-)
+from spincorr.closed_form import CorrelationModel, four_pair_sum, intensity, joint, marginal, norm
 from spincorr.dirac import METRIC, FourVector, gamma, slash, trace_product
 from spincorr.kinematics import Speed
 from spincorr.oracle import (
@@ -72,13 +61,8 @@ def test_criterion_1_normalization_identities():
         for model in CorrelationModel:
             total = four_pair_sum(lambda a, c: joint(model, speed, a, c), chi1, chi2)
             worst_pair = max(worst_pair, abs(total - 1.0))
-        brute_pol = four_pair_sum(lambda a, c: f_polarized(speed, a, c), chi1, chi2)
-        brute_unp = four_pair_sum(lambda a, c: f_unpolarized(speed, a, c), chi1, chi2)
-        worst_norm = max(
-            worst_norm,
-            abs(brute_pol - n_polarized(speed)) / n_polarized(speed),
-            abs(brute_unp - norm_unpolarized(speed)) / norm_unpolarized(speed),
-        )
+            brute = four_pair_sum(lambda a, c: intensity(model, speed, a, c), chi1, chi2)
+            worst_norm = max(worst_norm, abs(brute - norm(model, speed)) / norm(model, speed))
     elapsed = time.monotonic() - start
     passed = worst_pair < 1e-12 and worst_norm < 1e-12 and elapsed < 1.0
     _report(1, passed, f"four-pair sums (max {worst_pair:.2e}), "
@@ -91,18 +75,18 @@ def test_criterion_1_normalization_identities():
 def test_criterion_2_marginal_identities():
     start = time.monotonic()
     worst = 0.0
+    exact_half = True
     for beta, chi1, chi2 in _samples():
         speed = Speed(beta)
-        p_pol = lambda a, c: joint(CorrelationModel.POLARIZED, speed, a, c)
-        p_unp = lambda a, c: joint(CorrelationModel.UNPOLARIZED, speed, a, c)
-        worst = max(
-            worst,
-            abs(p_pol(chi1, chi2) + p_pol(chi1, chi2 + math.pi) - marginal1_polarized(speed, chi1)),
-            abs(p_pol(chi1, chi2) + p_pol(chi1 + math.pi, chi2) - marginal2_polarized(speed, chi2)),
-            abs(p_unp(chi1, chi2) + p_unp(chi1, chi2 + math.pi) - 0.5),
-            abs(p_unp(chi1, chi2) + p_unp(chi1 + math.pi, chi2) - 0.5),
-        )
-    exact_half = marginal_unpolarized(1) == 0.5 and marginal_unpolarized(2) == 0.5
+        for model in CorrelationModel:
+            p = lambda a, c: joint(model, speed, a, c)
+            worst = max(
+                worst,
+                abs(p(chi1, chi2) + p(chi1, chi2 + math.pi) - marginal(model, speed, 1, chi1)),
+                abs(p(chi1, chi2) + p(chi1 + math.pi, chi2) - marginal(model, speed, 2, chi2)),
+            )
+        unp = CorrelationModel.UNPOLARIZED
+        exact_half = exact_half and marginal(unp, speed, 1, chi1) == marginal(unp, speed, 2, chi2) == 0.5
     elapsed = time.monotonic() - start
     passed = worst < 1e-12 and exact_half and elapsed < 1.0
     _report(2, passed, f"marginal closed forms vs defining sums (max {worst:.2e}), "

@@ -19,12 +19,10 @@ from spincorr.chsh import (
     beta_scan,
     is_violation,
     s_value,
-    scan_csv,
-    scan_json_payload,
     search_violation,
     violation_fraction,
 )
-from spincorr.closed_form import PROBES, CorrelationModel, joint, marginal
+from spincorr.closed_form import PROBES, CorrelationModel, joint, joint_probability, marginal
 from spincorr.kinematics import Speed
 
 # Regression pins, hand-derived before the build by six-term evaluation of
@@ -419,7 +417,7 @@ def test_import_loads_every_layer_module():
     assert loaded == repr(list(layers))
 
 
-def test_readme_library_example_imports():
+def test_readme_library_example_imports(capsys):
     readme = (Path(spincorr.__file__).resolve().parents[2] / "README.md").read_text()
     example = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     (imports,) = [
@@ -427,9 +425,16 @@ def test_readme_library_example_imports():
         if isinstance(node, ast.ImportFrom) and node.module == "spincorr"
     ]
     names = [alias.name for alias in imports.names]
-    assert "search_violation" in names
+    assert {"joint_probability", "search_violation"} <= set(names)
     for name in names:
         assert hasattr(spincorr, name), name
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    speed = Speed(0.8)
+    assert printed[0] == str(joint_probability(CorrelationModel.UNPOLARIZED, speed, 0.0, 0.3).value)
+    anchor = s_value(CorrelationModel.UNPOLARIZED, speed, AngleQuad.from_degrees(0, 45, 210, 15))
+    assert printed[1] == f"{anchor.s_value} {anchor.violated}"
+    assert len(printed) == 3
 
 
 class TestBetaScan:
@@ -463,42 +468,3 @@ class TestBetaScan:
         fraction = violation_fraction(rows)
         assert fraction == pytest.approx(sum(r.violated for r in rows) / 2.0)
         assert violation_fraction([]) == 0.0
-
-
-@pytest.fixture(scope="module")
-def rows():
-    speeds = [Speed(b) for b in (0.0, 0.4, 0.8)]
-    return beta_scan(CorrelationModel.UNPOLARIZED, speeds, CI_SETTINGS)
-
-
-class TestScanSerialization:
-    def test_csv_schema(self, rows):
-        text = scan_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated"
-        assert len(lines) == 1 + len(rows)
-
-    def test_csv_round_trip_recomputes_s(self, rows):
-        lines = scan_csv(rows).strip().split("\n")[1:]
-        for line in lines:
-            cells = line.split(",")
-            beta = float(cells[0])
-            model = CorrelationModel(cells[1])
-            quad = AngleQuad.from_degrees(*(float(c) for c in cells[2:6]))
-            s_col = float(cells[6])
-            recomputed = s_value(model, Speed(beta), quad)
-            assert recomputed.s_value == pytest.approx(s_col, abs=1e-12)
-            assert (cells[7] == "true") == recomputed.violated
-
-    def test_json_terms_recombine(self, rows):
-        for entry in scan_json_payload(rows):
-            terms = entry["terms"]
-            s = (
-                terms["joint_11"]
-                - terms["joint_12p"]
-                + terms["joint_1p2"]
-                + terms["joint_1p2p"]
-                - terms["marginal_1p"]
-                - terms["marginal_2"]
-            )
-            assert s == pytest.approx(entry["S"], abs=1e-12)

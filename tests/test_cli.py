@@ -4,7 +4,10 @@ import math
 import pytest
 
 from spincorr import chsh, cli
+from spincorr.chsh import AngleQuad, SearchSettings, beta_scan, s_value
 from spincorr.cli import main
+from spincorr.closed_form import CorrelationModel
+from spincorr.kinematics import Speed
 
 PINNED_S_POLARIZED_09 = -0.8085870561003567
 PINNED_S_UNPOLARIZED_08 = -1.3063175651621299
@@ -412,10 +415,6 @@ class TestScan:
         assert "violation fraction" in err
 
     def test_csv_round_trip(self, capsys):
-        from spincorr.chsh import AngleQuad, s_value
-        from spincorr.closed_form import CorrelationModel
-        from spincorr.kinematics import Speed
-
         _, out, _ = run(
             capsys, "scan", "--model", "unpolarized", "--beta-range", "0.2:0.8:0.3",
             "--grid-step", "30",
@@ -471,6 +470,12 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "more than 4 speeds" in err
+
+    @pytest.mark.parametrize("spec", ("1:0:0.1", "0.5:0.4:0.01"))
+    def test_beta_range_without_speeds_named(self, capsys, spec):
+        code, out, err = run(capsys, "scan", "--model", "polarized", "--beta-range", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: --beta-range {spec!r} holds no speed: lo is above hi\n"
 
     def test_grid_size_capped(self, capsys, monkeypatch):
         monkeypatch.setattr(chsh, "MAX_GRID_SIZE", 4)
@@ -538,12 +543,98 @@ class TestVerify:
         assert "DISAGREE" in out
         assert "strict" in err
 
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "-1", "0"))
+    def test_meaningless_tolerance_rejected(self, capsys, value):
+        code, out, err = run(capsys, "verify", f"--tolerance={value}")
+        assert (code, out) == (1, "")
+        assert err == f"error: --tolerance must be finite and > 0, got {float(value)!r}\n"
+
+    def test_json_key_order(self, verify_json):
+        # The walker writes each report dataclass in field order.
+        _, report = verify_json
+        assert list(report) == [
+            "anchors", "identities", "consistency", "cross_oracle", "identities_pass", "cross_oracle_agree",
+        ]
+        record_keys = {
+            "anchors": ["model", "beta", "angles_deg", "s_computed", "s_reference", "gap", "terms"],
+            "identities": ["name", "max_error", "tolerance", "passed"],
+            "consistency": [
+                "beta", "model", "fitted", "printed", "relative_deviation", "residual", "scale", "verdict",
+            ],
+            "cross_oracle": ["beta", "grid_n", "scale", "max_rel_deviation", "max_imag", "agree"],
+        }
+        for section, keys in record_keys.items():
+            assert report[section]
+            for record in report[section]:
+                assert list(record) == keys, section
+
+    def test_json_values_are_plain(self, verify_json):
+        _, report = verify_json
+        assert [a["model"] for a in report["anchors"]] == ["polarized", "unpolarized"]
+        assert all(isinstance(a["angles_deg"], list) and len(a["terms"]) == 6 for a in report["anchors"])
+        for check in report["identities"]:
+            assert check["passed"] is (check["max_error"] < check["tolerance"])
+        for entry in report["consistency"]:
+            assert entry["model"] in ("polarized", "unpolarized")
+            assert len(entry["fitted"]) == len(entry["printed"]) == len(entry["relative_deviation"])
+            assert all(d >= 0.0 for d in entry["relative_deviation"])
+
     def test_pretty_sections(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
         assert "reference points" in out
         assert "internal identities" in out
         assert "informational" in out
+
+
+def test_json_walker():
+    quad = AngleQuad(0.1, 0.2, 0.3, 1.0 / 3.0)
+    payload = {"model": CorrelationModel.POLARIZED, "pair": (1.0 / 3.0, 2), "quad": quad, "flag": True}
+    assert cli._plain(payload) == {
+        "model": "polarized",
+        "pair": [0.333333333333333, 2],
+        "quad": {"chi1": 0.1, "chi2": 0.2, "chi1p": 0.3, "chi2p": 0.333333333333333},
+        "flag": True,
+    }
+
+
+@pytest.fixture(scope="module")
+def rows():
+    speeds = [Speed(b) for b in (0.0, 0.4, 0.8)]
+    return beta_scan(CorrelationModel.UNPOLARIZED, speeds, SearchSettings(grid_step_deg=15.0))
+
+
+class TestScanSerialization:
+    def test_csv_schema(self, rows):
+        text = cli.scan_csv(rows)
+        lines = text.strip().split("\n")
+        assert lines[0] == "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated"
+        assert len(lines) == 1 + len(rows)
+
+    def test_csv_round_trip_recomputes_s(self, rows):
+        lines = cli.scan_csv(rows).strip().split("\n")[1:]
+        for line in lines:
+            cells = line.split(",")
+            beta = float(cells[0])
+            model = CorrelationModel(cells[1])
+            quad = AngleQuad.from_degrees(*(float(c) for c in cells[2:6]))
+            s_col = float(cells[6])
+            recomputed = s_value(model, Speed(beta), quad)
+            assert recomputed.s_value == pytest.approx(s_col, abs=1e-12)
+            assert (cells[7] == "true") == recomputed.violated
+
+    def test_json_terms_recombine(self, rows):
+        for entry in cli.scan_json_payload(rows):
+            terms = entry["terms"]
+            s = (
+                terms["joint_11"]
+                - terms["joint_12p"]
+                + terms["joint_1p2"]
+                + terms["joint_1p2p"]
+                - terms["marginal_1p"]
+                - terms["marginal_2"]
+            )
+            assert s == pytest.approx(entry["S"], abs=1e-12)
 
 
 class TestDeterminism:

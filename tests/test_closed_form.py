@@ -9,22 +9,17 @@ from spincorr import closed_form
 from spincorr.closed_form import (
     CorrelationModel,
     coefficients,
-    f_polarized,
-    f_unpolarized,
     four_pair_sum,
+    intensity,
     joint,
     joint_probability,
     marginal,
-    marginal1_polarized,
-    marginal2_polarized,
-    marginal_unpolarized,
-    n_polarized,
-    norm_unpolarized,
-    p_polarized,
-    p_unpolarized,
+    norm,
     unpolarized_coefficients,
 )
 from spincorr.kinematics import Speed
+
+POL, UNP = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
 
 betas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi, allow_nan=False)
@@ -81,23 +76,23 @@ class TestCoefficients:
 class TestPolarizedIntensity:
     @given(angles, angles)
     def test_rest_frame_is_constant_one(self, chi1, chi2):
-        assert f_polarized(Speed(0.0), chi1, chi2) == pytest.approx(1.0, abs=1e-12)
+        assert intensity(POL, Speed(0.0), chi1, chi2) == pytest.approx(1.0, abs=1e-12)
 
     @given(betas, angles, angles)
     def test_two_pi_periodic_in_each_angle(self, b, chi1, chi2):
         speed = Speed(b)
-        base = f_polarized(speed, chi1, chi2)
-        assert f_polarized(speed, chi1 + 2.0 * math.pi, chi2) == pytest.approx(base, abs=1e-10)
-        assert f_polarized(speed, chi1, chi2 + 2.0 * math.pi) == pytest.approx(base, abs=1e-10)
+        base = intensity(POL, speed, chi1, chi2)
+        assert intensity(POL, speed, chi1 + 2.0 * math.pi, chi2) == pytest.approx(base, abs=1e-10)
+        assert intensity(POL, speed, chi1, chi2 + 2.0 * math.pi) == pytest.approx(base, abs=1e-10)
 
     @given(betas, angles, angles)
     def test_four_pair_sum_matches_normalization(self, b, chi1, chi2):
         speed = Speed(b)
-        brute = four_pair_sum(lambda a, c: f_polarized(speed, a, c), chi1, chi2)
+        brute = four_pair_sum(lambda a, c: intensity(POL, speed, a, c), chi1, chi2)
         cs = coefficients(speed)
         expected = 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
         assert brute == pytest.approx(expected, rel=1e-12)
-        assert n_polarized(speed) == pytest.approx(expected, rel=1e-15)
+        assert norm(POL, speed) == pytest.approx(expected, rel=1e-15)
 
     def test_exchange_structure_under_joint_pi_shift(self):
         # Shifting both angles by pi flips the sign of the sum-angle terms
@@ -111,34 +106,34 @@ class TestPolarizedIntensity:
             expected = (-cs.a * math.cos(half_sum) + cs.b * math.sin(half_diff)) ** 2 + (
                 -cs.c * math.sin(half_sum) + cs.d * math.cos(half_diff)
             ) ** 2
-            shifted = f_polarized(speed, chi1 + math.pi, chi2 + math.pi)
+            shifted = intensity(POL, speed, chi1 + math.pi, chi2 + math.pi)
             assert shifted == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_endpoints(self):
-        assert n_polarized(Speed(0.0)) == pytest.approx(4.0)
-        assert n_polarized(Speed(1.0)) == pytest.approx(212.0)
-        assert n_polarized(Speed(0.9)) == pytest.approx(N_09, rel=1e-12)
+        assert norm(POL, Speed(0.0)) == pytest.approx(4.0)
+        assert norm(POL, Speed(1.0)) == pytest.approx(212.0)
+        assert norm(POL, Speed(0.9)) == pytest.approx(N_09, rel=1e-12)
 
 
 class TestPolarizedProbability:
     @given(angles, angles)
     def test_rest_frame_is_quarter(self, chi1, chi2):
-        assert p_polarized(Speed(0.0), chi1, chi2).value == pytest.approx(0.25, abs=1e-12)
+        assert joint_probability(POL, Speed(0.0), chi1, chi2).value == pytest.approx(0.25, abs=1e-12)
 
     def test_frozen_anchor_value(self):
-        prob = p_polarized(Speed(0.9), 0.0, math.radians(45.0))
+        prob = joint_probability(POL, Speed(0.9), 0.0, math.radians(45.0))
         assert prob.value == pytest.approx(P_09_0_45, rel=1e-12)
         assert prob.in_range
 
     @given(betas, angles, angles)
     def test_four_pair_sum_is_one(self, b, chi1, chi2):
         speed = Speed(b)
-        total = four_pair_sum(lambda a, c: p_polarized(speed, a, c).value, chi1, chi2)
+        total = four_pair_sum(lambda a, c: joint_probability(POL, speed, a, c).value, chi1, chi2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @given(betas, angles, angles)
     def test_always_in_unit_interval(self, b, chi1, chi2):
-        prob = p_polarized(Speed(b), chi1, chi2)
+        prob = joint_probability(POL, Speed(b), chi1, chi2)
         assert prob.in_range
         assert 0.0 <= prob.value <= 1.0
 
@@ -146,23 +141,23 @@ class TestPolarizedProbability:
 class TestPolarizedMarginals:
     @given(betas)
     def test_zero_angle_gives_half(self, b):
-        assert marginal1_polarized(Speed(b), 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert marginal2_polarized(Speed(b), 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert marginal(POL, Speed(b), 1, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert marginal(POL, Speed(b), 2, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     @given(angles)
     def test_rest_frame_gives_half(self, chi):
-        assert marginal1_polarized(Speed(0.0), chi) == pytest.approx(0.5, abs=1e-15)
-        assert marginal2_polarized(Speed(0.0), chi) == pytest.approx(0.5, abs=1e-15)
+        assert marginal(POL, Speed(0.0), 1, chi) == pytest.approx(0.5, abs=1e-15)
+        assert marginal(POL, Speed(0.0), 2, chi) == pytest.approx(0.5, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(betas, angles, angles)
     def test_closed_forms_equal_defining_sums(self, b, chi1, chi2):
         speed = Speed(b)
-        p = lambda a, c: p_polarized(speed, a, c).value
+        p = lambda a, c: joint_probability(POL, speed, a, c).value
         first = p(chi1, chi2) + p(chi1, chi2 + math.pi)
         second = p(chi1, chi2) + p(chi1 + math.pi, chi2)
-        assert marginal1_polarized(speed, chi1) == pytest.approx(first, abs=1e-12)
-        assert marginal2_polarized(speed, chi2) == pytest.approx(second, abs=1e-12)
+        assert marginal(POL, speed, 1, chi1) == pytest.approx(first, abs=1e-12)
+        assert marginal(POL, speed, 2, chi2) == pytest.approx(second, abs=1e-12)
 
     def test_sum_rule(self):
         # marginal1 + marginal2 - 1 collapses to the cross-term 2*(2 c d sin chi)/N
@@ -170,15 +165,15 @@ class TestPolarizedMarginals:
             speed = Speed(b)
             cs = coefficients(speed)
             for chi in np.linspace(-3.0, 3.0, 13):
-                lhs = marginal1_polarized(speed, chi) + marginal2_polarized(speed, chi) - 1.0
-                rhs = 2.0 * (2.0 * cs.c * cs.d * math.sin(chi)) / n_polarized(speed)
+                lhs = marginal(POL, speed, 1, chi) + marginal(POL, speed, 2, chi) - 1.0
+                rhs = 2.0 * (2.0 * cs.c * cs.d * math.sin(chi)) / norm(POL, speed)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_values_frozen_at_anchor(self):
-        assert marginal1_polarized(Speed(0.9), math.radians(69.0)) == pytest.approx(
+        assert marginal(POL, Speed(0.9), 1, math.radians(69.0)) == pytest.approx(
             0.8206813052294112, rel=1e-12
         )
-        assert marginal2_polarized(Speed(0.9), math.radians(45.0)) == pytest.approx(
+        assert marginal(POL, Speed(0.9), 2, math.radians(45.0)) == pytest.approx(
             0.4245918618859834, rel=1e-12
         )
 
@@ -186,8 +181,8 @@ class TestPolarizedMarginals:
 class TestUnpolarizedIntensity:
     def test_rest_frame_values(self):
         speed = Speed(0.0)
-        assert f_unpolarized(speed, 0.0, 0.0) == pytest.approx(6.0)
-        assert f_unpolarized(speed, 0.0, math.pi) == pytest.approx(2.0)
+        assert intensity(UNP, speed, 0.0, 0.0) == pytest.approx(6.0)
+        assert intensity(UNP, speed, 0.0, math.pi) == pytest.approx(2.0)
 
     def test_constant_term_vanishes_at_lightlike(self):
         assert unpolarized_coefficients(Speed(1.0))[2] == pytest.approx(0.0, abs=1e-15)
@@ -199,27 +194,27 @@ class TestUnpolarizedIntensity:
     @given(betas, angles, angles)
     def test_four_pair_sum_matches_normalization(self, b, chi1, chi2):
         speed = Speed(b)
-        brute = four_pair_sum(lambda a, c: f_unpolarized(speed, a, c), chi1, chi2)
-        assert brute == pytest.approx(norm_unpolarized(speed), rel=1e-12)
+        brute = four_pair_sum(lambda a, c: intensity(UNP, speed, a, c), chi1, chi2)
+        assert brute == pytest.approx(norm(UNP, speed), rel=1e-12)
 
     def test_normalization_values(self):
-        assert norm_unpolarized(Speed(0.0)) == pytest.approx(16.0)
-        assert norm_unpolarized(Speed(1.0)) == pytest.approx(8.0)
-        assert norm_unpolarized(Speed(0.8)) == pytest.approx(6.013952, rel=1e-12)
+        assert norm(UNP, Speed(0.0)) == pytest.approx(16.0)
+        assert norm(UNP, Speed(1.0)) == pytest.approx(8.0)
+        assert norm(UNP, Speed(0.8)) == pytest.approx(6.013952, rel=1e-12)
 
     def test_normalization_positive_everywhere(self):
         # dips to about 5.85 near beta = 0.85 but never reaches zero
         for b in np.linspace(0.0, 1.0, 101):
-            assert norm_unpolarized(Speed(b)) > 0.0
+            assert norm(UNP, Speed(b)) > 0.0
 
 
 class TestUnpolarizedProbability:
     def test_rest_frame_values_and_pair_sum(self):
         speed = Speed(0.0)
-        assert p_unpolarized(speed, 0.0, 0.0).value == pytest.approx(0.375)
-        assert p_unpolarized(speed, 0.0, math.pi).value == pytest.approx(0.125)
+        assert joint_probability(UNP, speed, 0.0, 0.0).value == pytest.approx(0.375)
+        assert joint_probability(UNP, speed, 0.0, math.pi).value == pytest.approx(0.125)
         values = [
-            p_unpolarized(speed, d1, d2).value
+            joint_probability(UNP, speed, d1, d2).value
             for d1, d2 in ((0, 0), (math.pi, 0), (0, math.pi), (math.pi, math.pi))
         ]
         assert values == pytest.approx([0.375, 0.125, 0.125, 0.375])
@@ -228,13 +223,13 @@ class TestUnpolarizedProbability:
     @given(betas, angles, angles)
     def test_four_pair_sum_is_one(self, b, chi1, chi2):
         speed = Speed(b)
-        total = four_pair_sum(lambda a, c: p_unpolarized(speed, a, c).value, chi1, chi2)
+        total = four_pair_sum(lambda a, c: joint_probability(UNP, speed, a, c).value, chi1, chi2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_region_reported_verbatim(self):
         # The printed law dips below zero at large beta; the value is kept
         # and only flagged.
-        prob = p_unpolarized(Speed(0.8), math.radians(210.0), math.radians(45.0))
+        prob = joint_probability(UNP, Speed(0.8), math.radians(210.0), math.radians(45.0))
         assert prob.value == pytest.approx(-0.04803278983066744, rel=1e-10)
         assert not prob.in_range
 
@@ -255,19 +250,26 @@ class TestUnpolarizedProbability:
 
 
 class TestUnpolarizedMarginals:
-    def test_exactly_half(self):
-        assert marginal_unpolarized(1) == 0.5
-        assert marginal_unpolarized(2) == 0.5
+    @given(betas, angles)
+    def test_exactly_half(self, b, chi):
+        assert marginal(UNP, Speed(b), 1, chi) == 0.5
+        assert marginal(UNP, Speed(b), 2, chi) == 0.5
 
-    def test_bad_index(self):
+    def test_array_is_fresh_and_half(self):
+        values = marginal(UNP, Speed(0.7), 2, np.linspace(-7.0, 7.0, 9))
+        assert values.flags.writeable and values.shape == (9,)
+        assert np.all(values == 0.5)
+
+    @pytest.mark.parametrize("which", (0, 3))
+    def test_bad_index(self, which):
         with pytest.raises(ValueError):
-            marginal_unpolarized(3)
+            marginal(UNP, Speed(0.5), which, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(betas, angles, angles)
     def test_defining_sums_give_half(self, b, chi1, chi2):
         speed = Speed(b)
-        p = lambda a, c: p_unpolarized(speed, a, c).value
+        p = lambda a, c: joint_probability(UNP, speed, a, c).value
         assert p(chi1, chi2) + p(chi1, chi2 + math.pi) == pytest.approx(0.5, abs=1e-12)
         assert p(chi1, chi2) + p(chi1 + math.pi, chi2) == pytest.approx(0.5, abs=1e-12)
 
@@ -275,14 +277,20 @@ class TestUnpolarizedMarginals:
 @pytest.mark.parametrize(
     "call,counted",
     [
-        (lambda s: joint(CorrelationModel.POLARIZED, s, 0.3, 1.1), "coefficients"),
-        (lambda s: p_polarized(s, 0.3, 1.1), "coefficients"),
-        (lambda s: marginal1_polarized(s, 0.3), "coefficients"),
-        (lambda s: marginal2_polarized(s, 0.3), "coefficients"),
-        (lambda s: joint(CorrelationModel.UNPOLARIZED, s, 0.3, 1.1), "unpolarized_coefficients"),
-        (lambda s: p_unpolarized(s, 0.3, 1.1), "unpolarized_coefficients"),
+        (lambda s: joint(POL, s, 0.3, 1.1), "coefficients"),
+        (lambda s: joint_probability(POL, s, 0.3, 1.1), "coefficients"),
+        (lambda s: marginal(POL, s, 1, 0.3), "coefficients"),
+        (lambda s: marginal(POL, s, 2, 0.3), "coefficients"),
+        (lambda s: intensity(POL, s, 0.3, 1.1), "coefficients"),
+        (lambda s: joint(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
+        (lambda s: joint_probability(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
+        (lambda s: marginal(UNP, s, 1, 0.3), "unpolarized_coefficients"),
+        (lambda s: intensity(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
     ],
-    ids=["joint-polarized", "p_polarized", "marginal1", "marginal2", "joint-unpolarized", "p_unpolarized"],
+    ids=[
+        "joint-polarized", "joint_probability-polarized", "marginal1", "marginal2", "intensity-polarized",
+        "joint-unpolarized", "joint_probability-unpolarized", "marginal-unpolarized", "intensity-unpolarized",
+    ],
 )
 def test_weights_built_once_per_call(monkeypatch, call, counted):
     calls = []
@@ -299,15 +307,18 @@ def test_weights_built_once_per_call(monkeypatch, call, counted):
 
 class TestDispatch:
     @given(st.sampled_from(list(CorrelationModel)), betas, angles, angles)
-    def test_joint_matches_model_functions(self, model, b, chi1, chi2):
+    def test_joint_probability_wraps_joint(self, model, b, chi1, chi2):
         speed = Speed(b)
-        direct = (
-            p_polarized(speed, chi1, chi2).value
-            if model is CorrelationModel.POLARIZED
-            else p_unpolarized(speed, chi1, chi2).value
-        )
-        assert joint(model, speed, chi1, chi2) == pytest.approx(direct, rel=1e-15)
-        assert joint_probability(model, speed, chi1, chi2).value == pytest.approx(direct, rel=1e-15)
+        prob = joint_probability(model, speed, chi1, chi2)
+        assert type(prob.value) is float
+        assert prob.value == joint(model, speed, chi1, chi2)
+        assert prob.in_range == (0.0 <= prob.value <= 1.0)
+
+    @given(st.sampled_from(list(CorrelationModel)), betas, angles, angles)
+    def test_joint_is_intensity_over_norm(self, model, b, chi1, chi2):
+        speed = Speed(b)
+        ratio = intensity(model, speed, chi1, chi2) / norm(model, speed)
+        assert joint(model, speed, chi1, chi2) == pytest.approx(ratio, abs=1e-15)
 
     def test_joint_broadcasts(self):
         speed = Speed(0.4)
@@ -317,16 +328,28 @@ class TestDispatch:
 
     def test_marginal_dispatch(self):
         speed = Speed(0.5)
-        assert marginal(CorrelationModel.UNPOLARIZED, speed, 1, 1.0) == 0.5
-        assert marginal(CorrelationModel.POLARIZED, speed, 2, 0.7) == pytest.approx(
-            marginal2_polarized(speed, 0.7)
-        )
+        assert marginal(UNP, speed, 1, 1.0) == 0.5
         with pytest.raises(ValueError):
-            marginal(CorrelationModel.POLARIZED, speed, 0, 0.7)
+            marginal(POL, speed, 0, 0.7)
+        with pytest.raises(ValueError):
+            marginal("polarized", speed, 1, 0.7)
+
+    def test_polarized_marginal_is_printed_expression(self):
+        # The printed marginals 1/2 + 2(ab + cd) sin chi1 / N and
+        # 1/2 + 2(cd - ab) sin chi2 / N, evaluated in the same order, bit for bit.
+        rng = np.random.default_rng(99)
+        grid = np.linspace(-4.0 * math.pi, 4.0 * math.pi, 1001)
+        for b in np.concatenate([[0.0, 1.0], rng.uniform(size=40)]):
+            speed, cs = Speed(b), coefficients(Speed(b))
+            n = 2.0 * (cs.a**2 + cs.b**2 + cs.c**2 + cs.d**2)
+            for which, k in ((1, cs.a * cs.b + cs.c * cs.d), (2, cs.c * cs.d - cs.a * cs.b)):
+                for chi in rng.uniform(-4.0 * math.pi, 4.0 * math.pi, size=50).tolist():
+                    assert marginal(POL, speed, which, chi) == 0.5 + 2.0 * k * np.sin(chi) / n
+                assert np.array_equal(marginal(POL, speed, which, grid), 0.5 + 2.0 * k * np.sin(grid) / n)
 
 
 def _verbatim_f_polarized(speed, chi1, chi2):
-    """The printed half-sum form of f_polarized, kept as its reference."""
+    """The printed half-sum form of the polarized intensity, kept as its reference."""
     cs = coefficients(speed)
     half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
     half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
@@ -336,7 +359,7 @@ def _verbatim_f_polarized(speed, chi1, chi2):
 
 
 def _verbatim_f_unpolarized(speed, chi1, chi2):
-    """The printed half-sum form of f_unpolarized, kept as its reference."""
+    """The printed half-sum form of the unpolarized intensity, kept as its reference."""
     w_sin, w_cos, w_const = unpolarized_coefficients(speed)
     half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
     half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
@@ -349,22 +372,20 @@ _PARITY_GRID = np.radians(np.arange(-720.0, 720.0, 2.0))   # 2 degrees across [-
 
 @pytest.mark.parametrize("beta", (0.0, 0.3, 0.6, 0.9, 0.99, 1.0))
 @pytest.mark.parametrize(
-    "factored,verbatim,norm",
-    [(f_polarized, _verbatim_f_polarized, n_polarized), (f_unpolarized, _verbatim_f_unpolarized, norm_unpolarized)],
-    ids=["polarized", "unpolarized"],
+    "model,verbatim", [(POL, _verbatim_f_polarized), (UNP, _verbatim_f_unpolarized)], ids=["polarized", "unpolarized"]
 )
-def test_half_angle_products_match_printed_form(factored, verbatim, norm, beta):
+def test_half_angle_products_match_printed_form(model, verbatim, beta):
     # The closed forms expand each half-sum and half-difference with the
     # angle-addition identities; they must equal the printed forms to
     # roundoff, keep the return shape, and return the same scalar type.
     speed = Speed(beta)
-    tolerance = 1e-14 * norm(speed)
+    tolerance = 1e-14 * norm(model, speed)
     for chi1, chi2 in _PARITY_PAIRS.tolist():
-        value, expected = factored(speed, chi1, chi2), verbatim(speed, chi1, chi2)
+        value, expected = intensity(model, speed, chi1, chi2), verbatim(speed, chi1, chi2)
         assert type(value) is type(expected) is np.float64
         assert abs(value - expected) <= tolerance
     for chi1, chi2 in ((_PARITY_GRID[:, None], _PARITY_GRID[None, :]), (_PARITY_GRID, 0.5), (1.5, _PARITY_GRID)):
-        values, expected = factored(speed, chi1, chi2), verbatim(speed, chi1, chi2)
+        values, expected = intensity(model, speed, chi1, chi2), verbatim(speed, chi1, chi2)
         assert values.shape == expected.shape
         assert np.abs(values - expected).max() <= tolerance
 
@@ -372,13 +393,11 @@ def test_half_angle_products_match_printed_form(factored, verbatim, norm, beta):
 @settings(deadline=None)
 @given(betas, angles, angles)
 @pytest.mark.parametrize(
-    "factored,verbatim,norm",
-    [(f_polarized, _verbatim_f_polarized, n_polarized), (f_unpolarized, _verbatim_f_unpolarized, norm_unpolarized)],
-    ids=["polarized", "unpolarized"],
+    "model,verbatim", [(POL, _verbatim_f_polarized), (UNP, _verbatim_f_unpolarized)], ids=["polarized", "unpolarized"]
 )
-def test_harmonic_matches_printed_form_at_random_points(factored, verbatim, norm, b, chi1, chi2):
+def test_harmonic_matches_printed_form_at_random_points(model, verbatim, b, chi1, chi2):
     speed = Speed(b)
-    assert abs(factored(speed, chi1, chi2) - verbatim(speed, chi1, chi2)) <= 1e-14 * norm(speed)
+    assert abs(intensity(model, speed, chi1, chi2) - verbatim(speed, chi1, chi2)) <= 1e-14 * norm(model, speed)
 
 
 def _mp_joint(mp, model, beta, chi1, chi2):
@@ -400,14 +419,9 @@ def _mp_joint(mp, model, beta, chi1, chi2):
 
 
 @pytest.mark.parametrize(
-    "model,verbatim,norm",
-    [
-        (CorrelationModel.POLARIZED, _verbatim_f_polarized, n_polarized),
-        (CorrelationModel.UNPOLARIZED, _verbatim_f_unpolarized, norm_unpolarized),
-    ],
-    ids=["polarized", "unpolarized"],
+    "model,verbatim", [(POL, _verbatim_f_polarized), (UNP, _verbatim_f_unpolarized)], ids=["polarized", "unpolarized"]
 )
-def test_joint_no_less_accurate_than_printed_form(model, verbatim, norm):
+def test_joint_no_less_accurate_than_printed_form(model, verbatim):
     # Mean absolute error against 50-digit values over 1500 seeded points.
     mpmath = pytest.importorskip("mpmath")
     points = np.random.default_rng(1500).uniform(
@@ -417,7 +431,7 @@ def test_joint_no_less_accurate_than_printed_form(model, verbatim, norm):
     with mpmath.workdps(50):
         for b, x1, x2 in points.tolist():
             speed, exact = Speed(b), _mp_joint(mpmath, model, b, x1, x2)
-            values = (joint(model, speed, x1, x2), verbatim(speed, x1, x2) / norm(speed))
+            values = (joint(model, speed, x1, x2), verbatim(speed, x1, x2) / norm(model, speed))
             errors.append([abs(float(mpmath.mpf(float(v)) - exact)) for v in values])
     harmonic, printed = np.mean(errors, axis=0)
     assert harmonic <= printed

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincorr import oracle
-from spincorr.closed_form import PROBES, CorrelationModel, f_polarized, template_value
+from spincorr.closed_form import PROBES, CorrelationModel, intensity, template_value
 from spincorr.dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from spincorr.kinematics import (
     BETA_ORACLE_MAX,
@@ -28,7 +29,6 @@ from spincorr.oracle import (
     cross_check_unpolarized,
     fit_polarized,
     fit_unpolarized,
-    quad_unpolarized,
     quad_unpolarized_complex,
     spin_average_oracle,
     validation_grid,
@@ -198,30 +198,23 @@ class TestConsistencyReports:
         assert report.printed == (1.0, 0.0, 1.0, 0.0)
 
     def test_report_schema(self):
+        # The field order is the key order of the JSON record (see tests/test_cli.py).
         report = consistency_report(CorrelationModel.POLARIZED, Speed(0.9))
-        payload = report.to_dict()
-        assert set(payload) == {
-            "beta",
-            "model",
-            "fitted",
-            "printed",
-            "relative_deviation",
-            "residual",
-            "scale",
-            "verdict",
-        }
-        assert payload["model"] == "polarized"
-        assert len(payload["fitted"]) == len(payload["printed"]) == 4
-        assert all(d >= 0.0 for d in payload["relative_deviation"])
         assert isinstance(report, ConsistencyReport)
+        assert [f.name for f in fields(report)] == [
+            "beta", "model", "fitted", "printed", "relative_deviation", "residual", "scale", "verdict",
+        ]
+        assert report.model is CorrelationModel.POLARIZED
+        assert len(report.fitted) == len(report.printed) == 4
+        assert all(d >= 0.0 for d in report.relative_deviation)
 
     def test_ratio_to_closed_form_is_tabulated_not_asserted(self):
-        # The diagnostic captures whether |M|^2 / f_polarized is constant in
+        # The diagnostic captures whether |M|^2 / F is constant in
         # angle; at beta = 0.9 the fitted and closed-form weights are wildly
         # different, which shows up as order-one deviations in the table.
         speed = Speed(0.9)
         ratios = [
-            abs(amplitude_polarized(speed, a, c)) ** 2 / f_polarized(speed, a, c)
+            abs(amplitude_polarized(speed, a, c)) ** 2 / intensity(CorrelationModel.POLARIZED, speed, a, c)
             for a, c in np.random.default_rng(29).uniform(0.0, 2.0 * math.pi, size=(12, 2))
         ]
         spread = (max(ratios) - min(ratios)) / max(ratios)
@@ -247,8 +240,8 @@ class TestUnpolarizedOracles:
     def test_quad_two_pi_invariance(self):
         speed = Speed(0.5)
         for _, chi1, chi2 in _random_inputs(10, seed=19):
-            base = quad_unpolarized(speed, chi1, chi2)
-            shifted = quad_unpolarized(speed, chi1 + 2.0 * math.pi, chi2)
+            base = quad_unpolarized_complex(speed, chi1, chi2).real
+            shifted = quad_unpolarized_complex(speed, chi1 + 2.0 * math.pi, chi2).real
             assert shifted == pytest.approx(base, rel=1e-12)
 
     def test_quad_four_pair_shift_sum_is_angle_independent(self):
@@ -257,7 +250,7 @@ class TestUnpolarizedOracles:
         totals = []
         for chi1, chi2 in ((0.2, 1.7), (3.3, 5.2), (4.4, 0.9)):
             totals.append(
-                sum(quad_unpolarized(speed, chi1 + d1, chi2 + d2) for d1, d2 in shifts)
+                sum(quad_unpolarized_complex(speed, chi1 + d1, chi2 + d2).real for d1, d2 in shifts)
             )
         assert max(totals) - min(totals) < 1e-10 * max(abs(t) for t in totals)
 
@@ -307,15 +300,9 @@ class TestCrossOracle:
         assert first.grid_n == 12
         assert first.max_rel_deviation >= 0.0
         assert first.max_imag < 1e-10
-        payload = first.to_dict()
-        assert set(payload) == {
-            "beta",
-            "grid_n",
-            "scale",
-            "max_rel_deviation",
-            "max_imag",
-            "agree",
-        }
+        assert [f.name for f in fields(first)] == [
+            "beta", "grid_n", "scale", "max_rel_deviation", "max_imag", "agree",
+        ]
 
     def test_agreement_flag_matches_deviation(self):
         report = cross_check_unpolarized(Speed(0.5))
@@ -352,7 +339,6 @@ class TestBatchedRoutes:
         assert type(amplitude_polarized(speed, 0.3, 1.2)) is complex
         assert type(quad_unpolarized_complex(speed, 0.3, 1.2)) is complex
         assert type(spin_average_oracle(speed, 0.3, 1.2)) is float
-        assert type(quad_unpolarized(speed, 0.3, 1.2)) is float
 
     def test_two_spinors_take_array_angles(self):
         chi = np.linspace(0.0, 2.0 * math.pi, 7)
