@@ -31,10 +31,12 @@ def _plain(obj):
     """JSON-ready copy of any record or report the CLI writes.
 
     Dataclasses become dicts in field order, enums their value, tuples
-    lists, and floats snap to 15 significant digits for stable output.
+    lists, and floats snap to 15 significant digits for stable output,
+    except where rounding up would overflow a finite value to infinity.
     """
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        snapped = float(f"{obj:.15g}")
+        return snapped if math.isfinite(snapped) else obj
     if isinstance(obj, Enum):
         return obj.value
     if is_dataclass(obj):
@@ -361,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):   # argparse passes `--flag=--` on as [], unconverted and unchecked
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except ValueError as exc:

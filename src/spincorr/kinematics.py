@@ -25,16 +25,17 @@ from .dirac import PAULI, FourVector, RowSpinor, Spinor4c, dirac_adjoint
 BETA_ORACLE_MAX = 1.0 - 1e-6
 
 
-def rho(beta: float) -> float:
-    """Kinematic spinor weight beta / (1 + sqrt(1 - beta^2)).
+def rho(beta):
+    """Kinematic spinor weight beta / (1 + sqrt(1 - beta^2)); elementwise over an array.
 
     Monotone on [0, 1], interpolating 0 (rest) to 1 (lightlike), and always
-    bounded by beta itself.
+    bounded by beta itself.  A scalar gives a float.
     """
-    b = float(beta)
-    if not 0.0 <= b <= 1.0:
+    batch = isinstance(beta, np.ndarray)
+    b = beta if batch else float(beta)
+    if not (np.all((0.0 <= b) & (b <= 1.0)) if batch else 0.0 <= b <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {b!r}")
-    return b / (1.0 + math.sqrt(1.0 - b * b))
+    return b / (1.0 + (np.sqrt if batch else math.sqrt)(1.0 - b * b))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ rest-frame limit finite, where the exchange denominator vanishes.
 The closed-form template weights are then read from the oracle, not
 fitted: the polarized (a, b, c, d) from the entries of the kernel K, the
 unpolarized weights from the 3 x 3 harmonic matrix of the spin average at
-the probe angles.  The residual of the read template on a 24 x 24
-validation grid establishes whether the numeric intensity has the template
-shape at all; the fitted-versus-closed-form coefficient table is reported
-without being adjudicated.
+the probe angles.  A read template is evaluated as every closed form is,
+through its harmonic matrix (``closed_form.template_matrix``) and the one
+evaluator ``closed_form.law``.  Its residual on a 24 x 24 validation grid
+establishes whether the numeric intensity has the template shape at all;
+the fitted-versus-closed-form coefficient table is reported without being
+adjudicated.
 """
 
 from __future__ import annotations
@@ -49,14 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import (
-    PROBES,
-    CorrelationModel,
-    coefficients,
-    harmonic_matrix,
-    template_value,
-    unpolarized_coefficients,
-)
+from .closed_form import PROBES, CorrelationModel, harmonic_matrix, law, template_coefficients, template_matrix
 from .dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from .kinematics import (
     Config,
@@ -273,7 +268,7 @@ class TrigFit:
 
     def evaluate(self, chi1, chi2):
         """Evaluate the read template at the given angles."""
-        return template_value(self.model, self.coefficients, chi1, chi2)
+        return law(template_matrix(self.model, self.coefficients), chi1, chi2)
 
 
 def _projection_scale(fitted: np.ndarray, reference: np.ndarray) -> float:
@@ -281,19 +276,19 @@ def _projection_scale(fitted: np.ndarray, reference: np.ndarray) -> float:
     return float(np.dot(fitted, reference) / denom) if denom > 0.0 else 0.0
 
 
-def _finish_fit(model, coeffs, reference, sample_fn) -> TrigFit:
+def _finish_fit(model, speed, coeffs, sample_fn) -> TrigFit:
     coeffs = tuple(float(c) for c in coeffs)
     grid1, grid2 = _VALIDATION_GRID
     sampled = np.array(
         [sample_fn(a, b) for a, b in zip(grid1.ravel(), grid2.ravel())]
     ).reshape(grid1.shape)
-    residual = float(np.max(np.abs(template_value(model, coeffs, grid1, grid2) - sampled)))
+    residual = float(np.max(np.abs(law(template_matrix(model, coeffs), grid1, grid2) - sampled)))
     return TrigFit(
         model=model,
         coefficients=coeffs,
         residual=residual,
         rel_residual=residual / float(np.max(np.abs(sampled))),
-        scale=_projection_scale(np.asarray(coeffs), np.asarray(reference)),
+        scale=_projection_scale(np.asarray(coeffs), np.asarray(template_coefficients(model, speed.beta))),
     )
 
 
@@ -321,9 +316,7 @@ def fit_polarized(speed: Speed) -> TrigFit:
     if c < 0.0:
         c, d = -c, -d
     sample = lambda chi1, chi2: abs(amplitude_polarized(speed, chi1, chi2)) ** 2
-    return _finish_fit(
-        CorrelationModel.POLARIZED, (a, b, c, d), coefficients(speed).as_tuple(), sample
-    )
+    return _finish_fit(CorrelationModel.POLARIZED, speed, (a, b, c, d), sample)
 
 
 def fit_unpolarized(speed: Speed) -> TrigFit:
@@ -341,9 +334,7 @@ def fit_unpolarized(speed: Speed) -> TrigFit:
     table = np.array([[sample(a, b) for b in PROBES] for a in PROBES])
     m = harmonic_matrix(table, PROBES)
     coeffs = (-m[1, 1] - m[2, 2], m[1, 1] - m[2, 2], m[0, 0] + m[2, 2])
-    return _finish_fit(
-        CorrelationModel.UNPOLARIZED, coeffs, unpolarized_coefficients(speed), sample
-    )
+    return _finish_fit(CorrelationModel.UNPOLARIZED, speed, coeffs, sample)
 
 
 # ----------------------------------------------------------------------
@@ -376,14 +367,9 @@ def consistency_report(
     model: CorrelationModel, speed: Speed, tolerance: float = DEFAULT_COEFF_TOLERANCE
 ) -> ConsistencyReport:
     """Read the template weights for one model and tabulate them against closed form."""
-    if model is CorrelationModel.POLARIZED:
-        fit = fit_polarized(speed)
-        reference = coefficients(speed).as_tuple()
-    else:
-        fit = fit_unpolarized(speed)
-        reference = unpolarized_coefficients(speed)
+    fit = (fit_polarized if model is CorrelationModel.POLARIZED else fit_unpolarized)(speed)
     fitted = np.asarray(fit.coefficients)
-    printed = np.asarray(reference, dtype=float)
+    printed = np.asarray(template_coefficients(model, speed.beta), dtype=float)
     norm = float(np.max(np.abs(printed)))
     if fit.scale != 0.0:
         deviations = np.abs(fitted / fit.scale - printed) / norm
@@ -421,9 +407,8 @@ class CrossOracleReport:
 def cross_check_unpolarized(
     speed: Speed, grid_n: int = 12, tolerance: float = TEMPLATE_RESIDUAL_TOLERANCE
 ) -> CrossOracleReport:
-    """Compare the two unpolarized oracles on a grid, up to one global scale."""
-    axis = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)
-    grid1, grid2 = np.meshgrid(axis, axis, indexing="ij")
+    """Compare the two unpolarized oracles on ``validation_grid(grid_n)``, up to one global scale."""
+    grid1, grid2 = validation_grid(grid_n)
     quad_values = np.array(
         [quad_unpolarized_complex(speed, a, b) for a, b in zip(grid1.ravel(), grid2.ravel())]
     )

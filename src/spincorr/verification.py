@@ -2,9 +2,10 @@
 
 The battery separates two kinds of outcomes on purpose:
 
-* internal identities (four-pair sums of ``joint`` and ``intensity``, each
-  ``marginal`` against its defining sum, template-read residuals) are hard
-  requirements; any failure is fatal for the ``verify`` command;
+* internal identities (four-pair sums and marginals, read from one
+  harmonic matrix per model for all sampled speeds at once, and
+  template-read residuals) are hard requirements; any failure is fatal
+  for the ``verify`` command;
 * gaps between computed CHSH values and the published reference figures,
   and fitted-versus-closed-form coefficient verdicts, are informational.
   They are printed side by side and never asserted.
@@ -147,35 +148,32 @@ def identity_checks(
 ) -> list[IdentityCheck]:
     """Normalization and marginal identities over a deterministic sample set.
 
-    Each closed form is evaluated once per sample on the four normalization
-    pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi), (chi1+pi, chi2+pi).
+    Each model's harmonic matrix is built once for all sampled speeds, and
+    each closed form is evaluated in one pass over a (4, samples) array of
+    the normalization pairs (chi1, chi2), (chi1+pi, chi2), (chi1, chi2+pi),
+    (chi1+pi, chi2+pi).
     """
-    triples = _sample_triples(samples, seed)
-    shift1, shift2 = np.array(cf.FOUR_PAIR_SHIFTS).T
-    pol_model, unp_model = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
-    deviations = np.zeros((len(triples), len(IDENTITY_NAMES)))
-    for row, (beta, chi1, chi2) in zip(deviations, triples):
-        speed = Speed(beta)
-        chi1s, chi2s = chi1 + shift1, chi2 + shift2
-        pol = cf.joint(pol_model, speed, chi1s, chi2s)
-        unp = cf.joint(unp_model, speed, chi1s, chi2s)
-        # Python's sum adds in the same order as cf.four_pair_sum.
-        row[:] = (
-            sum(pol) - 1.0,
-            sum(unp) - 1.0,
-            sum(cf.intensity(pol_model, speed, chi1s, chi2s)) - cf.norm(pol_model, speed),
-            sum(cf.intensity(unp_model, speed, chi1s, chi2s)) - cf.norm(unp_model, speed),
-            pol[0] + pol[2] - cf.marginal(pol_model, speed, 1, chi1),
-            pol[0] + pol[1] - cf.marginal(pol_model, speed, 2, chi2),
-            max(
-                abs(unp[0] + unp[2] - 0.5),
-                abs(unp[0] + unp[1] - 0.5),
-                abs(cf.marginal(unp_model, speed, 1, chi1) - 0.5),
-                abs(cf.marginal(unp_model, speed, 2, chi2) - 0.5),
-            ),
-        )
-    errors = np.max(np.abs(deviations), axis=0, initial=0.0)
-    return [IdentityCheck(name, float(err), tolerance) for name, err in zip(IDENTITY_NAMES, errors)]
+    beta, chi1, chi2 = _sample_triples(samples, seed).T
+    shift1, shift2 = np.array(cf.FOUR_PAIR_SHIFTS).T[:, :, np.newaxis]
+    chi1s, chi2s = chi1 + shift1, chi2 + shift2
+    pol_f = cf.harmonic(CorrelationModel.POLARIZED, beta)
+    unp_f = cf.harmonic(CorrelationModel.UNPOLARIZED, beta)
+    pol, unp = pol_f.joint(chi1s, chi2s), unp_f.joint(chi1s, chi2s)
+    # Python's sum over the pair axis adds in the same order as cf.four_pair_sum.
+    deviations = (
+        sum(pol) - 1.0,
+        sum(unp) - 1.0,
+        sum(cf.law(pol_f.f, chi1s, chi2s)) - pol_f.n,
+        sum(cf.law(unp_f.f, chi1s, chi2s)) - unp_f.n,
+        pol[0] + pol[2] - pol_f.marginal(1, chi1),
+        pol[0] + pol[1] - pol_f.marginal(2, chi2),
+        np.concatenate((unp[0] + unp[2], unp[0] + unp[1], unp_f.marginal(1, chi1), unp_f.marginal(2, chi2)))
+        - 0.5,
+    )
+    return [
+        IdentityCheck(name, float(np.max(np.abs(dev), initial=0.0)), tolerance)
+        for name, dev in zip(IDENTITY_NAMES, deviations)
+    ]
 
 
 def fit_checks(

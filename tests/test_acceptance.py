@@ -14,7 +14,15 @@ import pytest
 
 from spincorr.chsh import AngleQuad, SearchSettings, beta_scan, s_value
 from spincorr.cli import main
-from spincorr.closed_form import CorrelationModel, four_pair_sum, intensity, joint, marginal, norm
+from spincorr.closed_form import (
+    CorrelationModel,
+    four_pair_sum,
+    intensity,
+    joint,
+    marginal,
+    norm,
+    template_coefficients,
+)
 from spincorr.dirac import METRIC, FourVector, gamma, slash, trace_product
 from spincorr.kinematics import Speed
 from spincorr.oracle import (
@@ -139,16 +147,11 @@ def test_criterion_4_oracle_functional_form():
     passed = worst < 1e-9 and elapsed < 10.0
     _report(4, passed, f"template fit residuals on disjoint grids (max {worst:.2e})", elapsed)
     print("  fitted-vs-closed-form tables (informational):")
-    from spincorr.closed_form import coefficients, unpolarized_coefficients
-
     for beta, pol, unp in rows:
-        speed = Speed(beta)
-        print(f"    beta={beta}: polarized fitted/scale="
-              f"{tuple(round(c / pol.scale, 6) for c in pol.coefficients)} "
-              f"closed-form={tuple(round(c, 6) for c in coefficients(speed).as_tuple())}")
-        print(f"    beta={beta}: unpolarized fitted/scale="
-              f"{tuple(round(c / unp.scale, 6) for c in unp.coefficients)} "
-              f"closed-form={tuple(round(c, 6) for c in unpolarized_coefficients(speed))}")
+        for model, fit in ((CorrelationModel.POLARIZED, pol), (CorrelationModel.UNPOLARIZED, unp)):
+            print(f"    beta={beta}: {model.value} fitted/scale="
+                  f"{tuple(round(c / fit.scale, 6) for c in fit.coefficients)} "
+                  f"closed-form={tuple(round(c, 6) for c in template_coefficients(model, beta))}")
     assert worst < 1e-9
     assert elapsed < 10.0
 

@@ -20,7 +20,9 @@ def run(capsys, *argv):
 
 
 # Exact stdout of fixed commands in every format, recorded before the three
-# point subcommands shared one emitter; any change to formatting shows here.
+# point subcommands shared one emitter (the scan commands before the closed
+# forms shared one harmonic matrix); any change to formatting or to a value
+# shows here.
 PINNED_STDOUT = {
     "coeffs --beta 0.6 --format pretty": (
         "beta = 0.6\n"
@@ -217,6 +219,230 @@ PINNED_STDOUT = {
     "chsh --model unpolarized --beta 0.35 --angles 10,20,30,40 --format csv": (
         "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
         "0.35,unpolarized,10.0,20.0,29.999999999999996,40.0,-0.18370263415572663,false\n"
+    ),
+    "scan --model polarized --beta-range 0:1:0.25 --grid-step 30 --format csv": (
+        "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
+        "0.0,polarized,239.85861444792465,35.9015783470041,223.36342295838327,324.0984216529959,-0.5,false\n"
+        "0.25,polarized,270.0,44.87246763322626,2.498628051879198e-15,315.1275323667737,-0.7118530261731586,false\n"
+        "0.5,polarized,270.0,42.048561946015475,7.31941621835588e-15,317.9514380539845,-0.7520187352397305,false\n"
+        "0.75,polarized,270.0,17.57029492283886,0.0,342.42970507716115,-0.7620184188010084,false\n"
+        "1.0,polarized,90.0,45.0,1.1227029727636987e-14,315.0,-1.1403985942821562,true\n"
+    ),
+    "scan --model polarized --beta-range 0:1:0.25 --grid-step 30 --format json": (
+        "[\n"
+        "  {\n"
+        "    \"beta\": 0.0,\n"
+        "    \"model\": \"polarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 239.858614447925,\n"
+        "      \"chi2\": 35.9015783470041,\n"
+        "      \"chi1p\": 223.363422958383,\n"
+        "      \"chi2p\": 324.098421652996\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.25,\n"
+        "      \"joint_12p\": 0.25,\n"
+        "      \"joint_1p2\": 0.25,\n"
+        "      \"joint_1p2p\": 0.25,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -0.5,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.25,\n"
+        "    \"model\": \"polarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 44.8724676332263,\n"
+        "      \"chi1p\": 2.4986280518792e-15,\n"
+        "      \"chi2p\": 315.127532366774\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.148223360489328,\n"
+        "      \"joint_12p\": 0.243902132242429,\n"
+        "      \"joint_1p2\": 0.201689060567048,\n"
+        "      \"joint_1p2p\": 0.191912872789971,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.509776187777077\n"
+        "    },\n"
+        "    \"S\": -0.711853026173159,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.5,\n"
+        "    \"model\": \"polarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 42.0485619460155,\n"
+        "      \"chi1p\": 7.31941621835588e-15,\n"
+        "      \"chi2p\": 317.951438053984\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.089287062606182,\n"
+        "      \"joint_12p\": 0.199274886213052,\n"
+        "      \"joint_1p2\": 0.182046973800885,\n"
+        "      \"joint_1p2p\": 0.17898454418357,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.503062429617316\n"
+        "    },\n"
+        "    \"S\": -0.752018735239731,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.75,\n"
+        "    \"model\": \"polarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 17.5702949228389,\n"
+        "      \"chi1p\": 0.0,\n"
+        "      \"chi2p\": 342.429705077161\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.052364040898098,\n"
+        "      \"joint_12p\": 0.0976185681680224,\n"
+        "      \"joint_1p2\": 0.120240982067066,\n"
+        "      \"joint_1p2p\": 0.141618054234458,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.478622927832608\n"
+        "    },\n"
+        "    \"S\": -0.762018418801008,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 1.0,\n"
+        "    \"model\": \"polarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 90.0,\n"
+        "      \"chi2\": 45.0,\n"
+        "      \"chi1p\": 1.1227029727637e-14,\n"
+        "      \"chi2p\": 315.0\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.11982085025261,\n"
+        "      \"joint_12p\": 0.493386696917201,\n"
+        "      \"joint_1p2\": 0.0632170766677044,\n"
+        "      \"joint_1p2p\": 0.116583626191218,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.446633450476487\n"
+        "    },\n"
+        "    \"S\": -1.14039859428216,\n"
+        "    \"violated\": true\n"
+        "  }\n"
+        "]\n"
+    ),
+    "scan --model unpolarized --beta-range 0:1:0.25 --grid-step 30 --format csv": (
+        "beta,model,chi1_deg,chi2_deg,chi1p_deg,chi2p_deg,S,violated\n"
+        "0.0,unpolarized,270.0,26.56505117707799,180.0,333.434948822922,-0.7795084971874737,false\n"
+        "0.25,unpolarized,270.0,26.39096454550041,180.0,333.6090354544996,-0.8263814864304808,false\n"
+        "0.5,unpolarized,270.0,23.89516141507036,180.0,336.10483858492967,-1.0082706959347754,true\n"
+        "0.75,unpolarized,270.0,11.705738538678174,180.0,348.29426146132187,-1.3761645476744055,true\n"
+        "1.0,unpolarized,90.0,45.0,180.0,315.0,-1.2071067811865475,true\n"
+    ),
+    "scan --model unpolarized --beta-range 0:1:0.25 --grid-step 30 --format json": (
+        "[\n"
+        "  {\n"
+        "    \"beta\": 0.0,\n"
+        "    \"model\": \"unpolarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 26.565051177078,\n"
+        "      \"chi1p\": 180.0,\n"
+        "      \"chi2p\": 333.434948822922\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.222049150281253,\n"
+        "      \"joint_12p\": 0.277950849718747,\n"
+        "      \"joint_1p2\": 0.138196601125011,\n"
+        "      \"joint_1p2p\": 0.138196601125011,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -0.779508497187474,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.25,\n"
+        "    \"model\": \"unpolarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 26.3909645455004,\n"
+        "      \"chi1p\": 180.0,\n"
+        "      \"chi2p\": 333.6090354545\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.217757614026151,\n"
+        "      \"joint_12p\": 0.282242385973849,\n"
+        "      \"joint_1p2\": 0.119051642758608,\n"
+        "      \"joint_1p2p\": 0.119051642758608,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -0.826381486430481,\n"
+        "    \"violated\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.5,\n"
+        "    \"model\": \"unpolarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 23.8951614150704,\n"
+        "      \"chi1p\": 180.0,\n"
+        "      \"chi2p\": 336.10483858493\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.208302196455927,\n"
+        "      \"joint_12p\": 0.291697803544073,\n"
+        "      \"joint_1p2\": 0.0375624555766854,\n"
+        "      \"joint_1p2p\": 0.0375624555766854,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -1.00827069593478,\n"
+        "    \"violated\": true\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 0.75,\n"
+        "    \"model\": \"unpolarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 270.0,\n"
+        "      \"chi2\": 11.7057385386782,\n"
+        "      \"chi1p\": 180.0,\n"
+        "      \"chi2p\": 348.294261461322\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.231967450115436,\n"
+        "      \"joint_12p\": 0.268032549884564,\n"
+        "      \"joint_1p2\": -0.170049723952638,\n"
+        "      \"joint_1p2p\": -0.170049723952638,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -1.37616454767441,\n"
+        "    \"violated\": true\n"
+        "  },\n"
+        "  {\n"
+        "    \"beta\": 1.0,\n"
+        "    \"model\": \"unpolarized\",\n"
+        "    \"angles_deg\": {\n"
+        "      \"chi1\": 90.0,\n"
+        "      \"chi2\": 45.0,\n"
+        "      \"chi1p\": 180.0,\n"
+        "      \"chi2p\": 315.0\n"
+        "    },\n"
+        "    \"terms\": {\n"
+        "      \"joint_11\": 0.0732233047033631,\n"
+        "      \"joint_12p\": 0.426776695296637,\n"
+        "      \"joint_1p2\": 0.0732233047033631,\n"
+        "      \"joint_1p2p\": 0.0732233047033632,\n"
+        "      \"marginal_1p\": 0.5,\n"
+        "      \"marginal_2\": 0.5\n"
+        "    },\n"
+        "    \"S\": -1.20710678118655,\n"
+        "    \"violated\": true\n"
+        "  }\n"
+        "]\n"
     ),
 }
 

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr import closed_form
+from spincorr import closed_form, verification
 from spincorr.closed_form import (
+    RANGE_SLACK,
+    CoefficientSet,
     CorrelationModel,
+    JointProbability,
     coefficients,
     four_pair_sum,
+    harmonic_matrix,
     intensity,
     joint,
     joint_probability,
+    law,
     marginal,
     norm,
-    unpolarized_coefficients,
+    template_coefficients,
 )
-from spincorr.kinematics import Speed
+from spincorr.closed_form import harmonic as harmonic_of
+from spincorr.kinematics import Speed, rho
 
 POL, UNP = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED
 
@@ -34,16 +40,15 @@ P_09_0_45 = 0.0838897578353037
 
 class TestCoefficients:
     def test_rest_frame(self):
-        cs = coefficients(Speed(0.0))
-        assert cs.as_tuple() == (1.0, 0.0, 1.0, 0.0)
-        assert cs.rho == 0.0
+        assert template_coefficients(POL, 0.0) == (1.0, 0.0, 1.0, 0.0)
+        assert coefficients(Speed(0.0)) == CoefficientSet(0.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_lightlike(self):
-        assert coefficients(Speed(1.0)).as_tuple() == (1.0, 10.0, 1.0, 2.0)
+        assert template_coefficients(POL, 1.0) == (1.0, 10.0, 1.0, 2.0)
 
     def test_frozen_values(self):
-        assert coefficients(Speed(0.9)).as_tuple() == pytest.approx(COEFFS_09, rel=1e-12)
-        assert coefficients(Speed(0.6)).as_tuple() == pytest.approx(COEFFS_06, rel=1e-12)
+        assert template_coefficients(POL, 0.9) == pytest.approx(COEFFS_09, rel=1e-12)
+        assert template_coefficients(POL, 0.6) == pytest.approx(COEFFS_06, rel=1e-12)
         assert coefficients(Speed(0.6)).rho == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_d_equals_b_minus_shared_term(self):
@@ -66,8 +71,8 @@ class TestCoefficients:
         derivs = [sp.lambdify(x, sp.diff(e, x), "math") for e in exprs]
         step = 1e-5
         for b in np.linspace(0.05, 0.95, 19):
-            up = coefficients(Speed(b + step)).as_tuple()
-            down = coefficients(Speed(b - step)).as_tuple()
+            up = template_coefficients(POL, b + step)
+            down = template_coefficients(POL, b - step)
             for i, dfun in enumerate(derivs):
                 fd = (up[i] - down[i]) / (2.0 * step)
                 assert fd == pytest.approx(dfun(b), abs=1e-6)
@@ -185,10 +190,10 @@ class TestUnpolarizedIntensity:
         assert intensity(UNP, speed, 0.0, math.pi) == pytest.approx(2.0)
 
     def test_constant_term_vanishes_at_lightlike(self):
-        assert unpolarized_coefficients(Speed(1.0))[2] == pytest.approx(0.0, abs=1e-15)
+        assert template_coefficients(UNP, 1.0)[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_weights(self):
-        w = unpolarized_coefficients(Speed(0.8))
+        w = template_coefficients(UNP, 0.8)
         assert w == pytest.approx((-3.052224, 2.4592, 1.8), rel=1e-12)
 
     @given(betas, angles, angles)
@@ -275,34 +280,136 @@ class TestUnpolarizedMarginals:
 
 
 @pytest.mark.parametrize(
-    "call,counted",
+    "call",
     [
-        (lambda s: joint(POL, s, 0.3, 1.1), "coefficients"),
-        (lambda s: joint_probability(POL, s, 0.3, 1.1), "coefficients"),
-        (lambda s: marginal(POL, s, 1, 0.3), "coefficients"),
-        (lambda s: marginal(POL, s, 2, 0.3), "coefficients"),
-        (lambda s: intensity(POL, s, 0.3, 1.1), "coefficients"),
-        (lambda s: joint(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
-        (lambda s: joint_probability(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
-        (lambda s: marginal(UNP, s, 1, 0.3), "unpolarized_coefficients"),
-        (lambda s: intensity(UNP, s, 0.3, 1.1), "unpolarized_coefficients"),
+        lambda s: joint(POL, s, 0.3, 1.1),
+        lambda s: joint_probability(POL, s, 0.3, 1.1),
+        lambda s: marginal(POL, s, 1, 0.3),
+        lambda s: marginal(POL, s, 2, 0.3),
+        lambda s: intensity(POL, s, 0.3, 1.1),
+        lambda s: joint(UNP, s, 0.3, 1.1),
+        lambda s: joint_probability(UNP, s, 0.3, 1.1),
+        lambda s: marginal(UNP, s, 1, 0.3),
+        lambda s: intensity(UNP, s, 0.3, 1.1),
     ],
     ids=[
         "joint-polarized", "joint_probability-polarized", "marginal1", "marginal2", "intensity-polarized",
         "joint-unpolarized", "joint_probability-unpolarized", "marginal-unpolarized", "intensity-unpolarized",
     ],
 )
-def test_weights_built_once_per_call(monkeypatch, call, counted):
+def test_weights_built_once_per_call(monkeypatch, call):
     calls = []
-    original = getattr(closed_form, counted)
 
-    def counting(speed):
-        calls.append(speed)
-        return original(speed)
+    def counting(model, beta):
+        calls.append(beta)
+        return harmonic_of(model, beta)
 
-    monkeypatch.setattr(closed_form, counted, counting)
+    monkeypatch.setattr(closed_form, "harmonic", counting)
     call(Speed(0.6))
-    assert len(calls) == 1
+    assert calls == [0.6]
+
+
+def _sample(f, i):
+    """Speed i of a batched harmonic matrix, as a 3 x 3 array."""
+    return np.array([[np.broadcast_to(x, np.shape(f[0][0]))[i] for x in row] for row in f])
+
+
+class TestHarmonicMatrix:
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_batched_equals_per_speed_bit_for_bit(self, model):
+        betas = np.arange(101) / 100.0
+        f, n = harmonic_of(model, betas)
+        for i, beta in enumerate(betas.tolist()):
+            f_one, n_one = harmonic_of(model, beta)
+            assert n_one == n[i]
+            assert np.array_equal(_sample(f, i), f_one)
+
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_batched_matches_per_speed_at_random_speeds(self, model):
+        # numpy's vectorized power and the C pow that Python floats use can
+        # round a square apart in the last bit, so off the k / 100 lattice
+        # the batch agrees with the per-speed build to a few ulps.
+        betas = np.random.default_rng(7).uniform(size=2000)
+        f, n = harmonic_of(model, betas)
+        for i, beta in enumerate(betas.tolist()):
+            f_one, n_one = harmonic_of(model, beta)
+            assert abs(n[i] - n_one) <= 1e-15 * n_one
+            assert np.abs(_sample(f, i) - f_one).max() <= 1e-15 * n_one
+
+    @pytest.mark.parametrize("beta", (0.0, 0.3, 0.8, 1.0))
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_law_of_folded_table_reproduces_joint(self, model, beta):
+        speed = Speed(beta)
+        grid = np.radians(np.arange(0.0, 360.0, 5.0))
+        table = joint(model, speed, grid[:, None], grid[None, :])
+        folded = harmonic_matrix(table, grid)
+        assert np.abs(law(folded, grid[:, None], grid[None, :]) - table).max() <= 1e-15
+        off_grid = np.random.default_rng(3).uniform(-7.0, 7.0, size=(2, 500))
+        assert np.abs(law(folded, *off_grid) - joint(model, speed, *off_grid)).max() <= 1e-15
+
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_law_is_the_joint_evaluator(self, model):
+        f, n = harmonic_of(model, 0.7)
+        chi1, chi2 = np.linspace(-7.0, 7.0, 31)[:, None], np.linspace(-6.0, 8.0, 29)[None, :]
+        normalized = [[x / n for x in row] for row in f]
+        assert np.array_equal(law(normalized, chi1, chi2), joint(model, Speed(0.7), chi1, chi2))
+        assert np.array_equal(law(f, chi1, chi2), intensity(model, Speed(0.7), chi1, chi2))
+
+    def test_rho_is_elementwise(self):
+        betas = np.linspace(0.0, 1.0, 57)
+        assert np.array_equal(rho(betas), [rho(b) for b in betas.tolist()])
+        with pytest.raises(ValueError):
+            rho(np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            rho(np.array([0.5, np.nan]))
+
+
+def test_identity_battery_builds_each_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(model, beta):
+        calls.append((model, np.shape(beta)))
+        return harmonic_of(model, beta)
+
+    monkeypatch.setattr(closed_form, "harmonic", counting)
+    checks = verification.identity_checks()
+    assert calls == [(POL, (200,)), (UNP, (200,))]
+    assert all(check.passed for check in checks)
+
+
+@pytest.mark.parametrize("index", (0, 99, 199))
+def test_identity_battery_catches_a_broken_normalization(monkeypatch, index):
+    # A wrong N at any one sample, the last included, fails both sums to one.
+    def broken(model, beta):
+        f, n = harmonic_of(model, beta)
+        n = n.copy()
+        n[index] *= 1.0 + 1e-9
+        return closed_form.Harmonic(f, n)
+
+    monkeypatch.setattr(closed_form, "harmonic", broken)
+    failed = {check.name for check in verification.identity_checks() if not check.passed}
+    assert set(verification.IDENTITY_NAMES[:2]) <= failed
+
+
+class TestRangeFlag:
+    def test_polarized_roundoff_below_zero_is_in_range(self):
+        # Both brackets vanish together near here and the harmonic sum
+        # rounds below zero; the value is kept and counts as in range.
+        prob = joint_probability(POL, Speed(0.755378074047048), 4.614902727296414, 1.7364534738975026)
+        assert prob.value == -8.326672684688674e-17
+        assert prob.in_range
+
+    def test_margin_is_a_few_ulps(self):
+        assert RANGE_SLACK == 4.0 * np.finfo(float).eps
+        for value, inside in (
+            (-RANGE_SLACK, True), (1.0 + RANGE_SLACK, True), (-1e-14, False), (1.0 + 1e-14, False)
+        ):
+            assert JointProbability.of(value).in_range is inside
+
+    def test_unpolarized_negatives_stay_flagged(self):
+        prob = joint_probability(UNP, Speed(0.53), 0.0, math.pi)
+        assert -1e-3 < prob.value < -RANGE_SLACK
+        assert not prob.in_range
 
 
 class TestDispatch:
@@ -312,7 +419,7 @@ class TestDispatch:
         prob = joint_probability(model, speed, chi1, chi2)
         assert type(prob.value) is float
         assert prob.value == joint(model, speed, chi1, chi2)
-        assert prob.in_range == (0.0 <= prob.value <= 1.0)
+        assert prob.in_range == (-RANGE_SLACK <= prob.value <= 1.0 + RANGE_SLACK)
 
     @given(st.sampled_from(list(CorrelationModel)), betas, angles, angles)
     def test_joint_is_intensity_over_norm(self, model, b, chi1, chi2):
@@ -360,7 +467,7 @@ def _verbatim_f_polarized(speed, chi1, chi2):
 
 def _verbatim_f_unpolarized(speed, chi1, chi2):
     """The printed half-sum form of the unpolarized intensity, kept as its reference."""
-    w_sin, w_cos, w_const = unpolarized_coefficients(speed)
+    w_sin, w_cos, w_const = template_coefficients(UNP, speed.beta)
     half_sum = 0.5 * (np.asarray(chi1) + np.asarray(chi2))
     half_diff = 0.5 * (np.asarray(chi1) - np.asarray(chi2))
     return w_sin * np.sin(half_diff) ** 2 + w_cos * np.cos(half_sum) ** 2 + w_const

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincorr import oracle
-from spincorr.closed_form import PROBES, CorrelationModel, intensity, template_value
+from spincorr.closed_form import PROBES, CorrelationModel, intensity, law, template_matrix
 from spincorr.dirac import GAMMA_STACK, METRIC_SIGNS, dirac_adjoint, slash
 from spincorr.kinematics import (
     BETA_ORACLE_MAX,
@@ -485,7 +485,7 @@ def _reconstruct_brackets(
     best = None
     for s1, s2 in ((z_hi, z_lo), (z_lo, z_hi)):
         candidate = build(s1, s2)
-        fitted = template_value(CorrelationModel.POLARIZED, candidate, chi1, chi2)
+        fitted = law(template_matrix(CorrelationModel.POLARIZED, candidate), chi1, chi2)
         residual = float(np.max(np.abs(fitted - values)))
         if best is None or residual < best[0]:
             best = (residual, candidate)
