@@ -110,10 +110,6 @@ class ChshResult:
     s_value: float
     violated: bool
 
-    def recombine(self) -> float:
-        t = self.terms
-        return t[0] - t[1] + t[2] + t[3] - t[4] - t[5]
-
 
 def is_violation(s: float) -> bool:
     """Outside the local-hidden-variable interval [-1, 0], either side."""

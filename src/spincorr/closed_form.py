@@ -237,9 +237,5 @@ def harmonic_matrix(table, grid):
     return fourier @ table @ fourier.T
 
 
+#: Offsets of the four normalization angle pairs from (chi1, chi2).
 FOUR_PAIR_SHIFTS = ((0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi))
-
-
-def four_pair_sum(fn, chi1, chi2):
-    """Sum fn over the four normalization angle pairs starting at (chi1, chi2)."""
-    return sum(fn(chi1 + d1, chi2 + d2) for d1, d2 in FOUR_PAIR_SHIFTS)

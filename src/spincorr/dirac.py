@@ -1,4 +1,4 @@
-"""Numeric Dirac algebra: metric, gamma matrices, slashes, bilinears, traces.
+"""Numeric Dirac algebra: metric signs, gamma matrices, four-vectors, slashes, adjoints.
 
 Conventions used throughout the package:
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +25,6 @@ Spinor4c = np.ndarray
 RowSpinor = np.ndarray
 
 METRIC_SIGNS = (1.0, -1.0, -1.0, -1.0)
-METRIC = np.diag(METRIC_SIGNS)
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -46,7 +43,6 @@ _GAMMA = (
 )
 for _g in _GAMMA + PAULI:
     _g.setflags(write=False)
-METRIC.setflags(write=False)
 
 # Stacked view (4, 4, 4) for einsum-heavy callers.
 GAMMA_STACK = np.stack(_GAMMA)
@@ -85,16 +81,6 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.t, self.x, self.y, self.z])
 
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def gamma(mu: int) -> Matrix4c:
-    """Gamma matrix with upper index mu in {0, 1, 2, 3}."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"gamma index must be 0..3, got {mu!r}")
-    return _GAMMA[mu]
-
 
 def slash(p: FourVector) -> Matrix4c:
     """Contraction gamma^mu p_mu = gamma^0 p^t - gamma^1 p^x - gamma^2 p^y - gamma^3 p^z."""
@@ -107,15 +93,3 @@ def dirac_adjoint(u: Spinor4c) -> RowSpinor:
     u = np.asarray(u, dtype=complex)
     return u.conj() @ _GAMMA[0]
 
-
-def bilinear(rbar: RowSpinor, matrix: Matrix4c, column: Spinor4c) -> complex:
-    """Sandwich rbar . matrix . column, the elementary vertex contraction."""
-    return complex(np.asarray(rbar) @ np.asarray(matrix) @ np.asarray(column))
-
-
-def trace_product(matrices: Sequence[Matrix4c] | Iterable[Matrix4c]) -> complex:
-    """Trace of the left-to-right product of 4x4 matrices."""
-    ms = list(matrices)
-    if not ms:
-        raise ValueError("trace_product requires at least one matrix")
-    return complex(np.trace(reduce(np.matmul, ms)))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dirac import PAULI, FourVector, RowSpinor, Spinor4c, dirac_adjoint
+from .dirac import PAULI, FourVector, RowSpinor, Spinor4c
 
 #: Hard ceiling for any constructor that needs the Lorentz factor.
 BETA_ORACLE_MAX = 1.0 - 1e-6
@@ -152,22 +152,14 @@ class InitialSpinors(NamedTuple):
     vbar_p2: RowSpinor
 
 
-class PolarizedFinalSpinors(NamedTuple):
-    ubar_k1: RowSpinor
-    v_k2: Spinor4c
-
-
-class UnpolarizedFinalSpinors(NamedTuple):
-    u_k1: Spinor4c
-    v_k2: Spinor4c
-
-
 class FinalSpinorMaps(NamedTuple):
-    """Per-speed (2, 4) maps from measurement two-spinors to final spinors.
+    """Per-speed (2, 4) maps from measurement two-spinors to four-spinors.
 
-    Each map acts on the right of a two-spinor row.  In the polarized layout
-    ubar(k1) = conj(zeta(chi1)) @ first and v(k2) = zeta(chi2) @ second; in
-    the unpolarized one u(k1) = xi(chi1) @ first and v(k2) = xi(chi2) @ second.
+    Each map acts on the right of a two-spinor row.  From
+    :func:`pair_maps`, ``first`` gives u of the particle and ``second`` v
+    of its partner: along x, u(k1) = xi(chi1) @ first and
+    v(k2) = xi(chi2) @ second.  From :func:`polarized_final_maps`,
+    ubar(k1) = conj(zeta(chi1)) @ first and v(k2) = zeta(chi2) @ second.
     """
 
     first: np.ndarray
@@ -177,12 +169,35 @@ class FinalSpinorMaps(NamedTuple):
 _I2 = np.eye(2, dtype=complex)
 
 
+def pair_maps(speed: Speed, axis: int) -> FinalSpinorMaps:
+    """Standard (u, v) maps of a pair: the particle along +axis, its partner along -axis.
+
+    ``axis`` is 0, 1 or 2 for x, y or z.  u = N (chi, rho sigma chi) and
+    v = N (-rho sigma chi, chi), with sigma the Pauli matrix of the axis
+    and the standard normalization N = sqrt((E + m)/2m), which makes
+    ubar u = +1 and vbar v = -1.  Each solves the Dirac equation for the
+    momentum :func:`momenta` gives it: axis 0 for the unpolarized layout's
+    emerging pair, axis 1 for the colliding pair (the initial-spin basis
+    is the rows of u and the Dirac adjoint of the rows of v).
+    """
+    require_subluminal(speed)
+    block = speed.rho * PAULI[axis].T
+    scale = math.sqrt((speed.gamma + 1.0) / 2.0)
+    return FinalSpinorMaps(
+        scale * np.concatenate([_I2, block], axis=1),
+        scale * np.concatenate([-block, _I2], axis=1),
+    )
+
+
 def polarized_final_maps(speed: Speed) -> FinalSpinorMaps:
-    """Final-spinor maps of the polarized setup.
+    """Final-spinor maps of the polarized setup, transcribed verbatim from the paper.
 
     ubar(k1) = (zeta1^dag, rho * zeta1^dag sigma_3) and
     v(k2) = (rho * sigma_3 zeta2, zeta2), up to overall constants that
     cancel in probabilities.  sigma_3 is symmetric, so one block serves both.
+    Each solves the Dirac equation for its particle's energy with the
+    spatial momentum reversed, -k1 and -k2; flipping both relabels the
+    emerging pair.
     """
     require_subluminal(speed)
     r = speed.rho
@@ -192,71 +207,18 @@ def polarized_final_maps(speed: Speed) -> FinalSpinorMaps:
     )
 
 
-def unpolarized_final_maps(speed: Speed) -> FinalSpinorMaps:
-    """Final-spinor maps of the unpolarized setup.
-
-    u(k1) = N (xi1, rho * sigma_1 xi1) and v(k2) = N (-rho * sigma_1 xi2, xi2)
-    with the standard normalization N = sqrt((k0 + m)/2m).  sigma_1 is
-    symmetric, so one block serves both.
-    """
-    require_subluminal(speed)
-    r = speed.rho
-    scale = math.sqrt((speed.gamma + 1.0) / 2.0)
-    return FinalSpinorMaps(
-        scale * np.concatenate([_I2, r * PAULI[0]], axis=1),
-        scale * np.concatenate([-r * PAULI[0], _I2], axis=1),
-    )
-
-
 def polarized_initial_spinors(speed: Speed) -> InitialSpinors:
     """Spin-up electron and spin-down positron spinors of the polarized setup.
 
-    Unnormalized on purpose: u(p1) = (1, 0, 0, i*rho)^T and
-    vbar(p2) = (i*rho, 0, 0, -1).  Every probability downstream is a
-    normalized ratio, so the proportionality constant is fixed to 1.
+    Transcribed verbatim from the paper, and unnormalized on purpose:
+    u(p1) = (1, 0, 0, i*rho)^T and vbar(p2) = (i*rho, 0, 0, -1).  Every
+    probability downstream is a normalized ratio, so the proportionality
+    constant is fixed to 1.  u(p1) solves the Dirac equation for p1, but
+    vbar(p2) solves vbar (pslash + m) = 0 for p1, not for p2: its residual
+    |vbar(p2) (p2slash + m)| is 1.5 at beta = 0.6.
     """
     require_subluminal(speed)
     r = speed.rho
     u_p1 = np.array([1.0, 0.0, 0.0, 1.0j * r], dtype=complex)
     vbar_p2 = np.array([1.0j * r, 0.0, 0.0, -1.0], dtype=complex)
     return InitialSpinors(u_p1, vbar_p2)
-
-
-def polarized_final_spinors(speed: Speed, chi1, chi2) -> PolarizedFinalSpinors:
-    """Emerging-pair spinors for the polarized setup, measurement angles chi1, chi2.
-
-    The :func:`polarized_final_maps` applied to zeta(chi1) and zeta(chi2):
-    ubar(k1) as a row and v(k2) as a column.  Array angles add leading axes;
-    the spinor index is always the last one.
-    """
-    maps = polarized_final_maps(speed)
-    return PolarizedFinalSpinors(zeta(chi1).conj() @ maps.first, zeta(chi2) @ maps.second)
-
-
-def unpolarized_final_spinors(speed: Speed, chi1, chi2) -> UnpolarizedFinalSpinors:
-    """Emerging-pair spinors for the unpolarized setup (pair along +/- x).
-
-    The :func:`unpolarized_final_maps` applied to xi(chi1) and xi(chi2).
-    They carry the standard normalization sqrt((k0 + m)/2m), which makes
-    ubar(k1) u(k1) = +1 and vbar(k2) v(k2) = -1 in natural units.  Array
-    angles add leading axes, as in :func:`polarized_final_spinors`.
-    """
-    maps = unpolarized_final_maps(speed)
-    return UnpolarizedFinalSpinors(xi(chi1) @ maps.first, xi(chi2) @ maps.second)
-
-
-def unpolarized_initial_basis(speed: Speed) -> tuple[np.ndarray, np.ndarray]:
-    """Complete initial-spin basis for the spin average.
-
-    Returns the two electron spinors u_s(p1) and the two adjoint positron
-    spinors vbar_s(p2) built from the up/down two-spinor basis, with momenta
-    along +/- y and the same normalization as the final spinors.  Each is a
-    (2, 4) array whose rows are the spin-up and spin-down states.
-    """
-    require_subluminal(speed)
-    r = speed.rho
-    scale = math.sqrt((speed.gamma + 1.0) / 2.0)
-    basis = np.eye(2, dtype=complex)  # rows: up, down
-    us = scale * np.concatenate([basis, r * (basis @ PAULI[1].T)], axis=-1)
-    vbars = dirac_adjoint(scale * np.concatenate([-r * (basis @ PAULI[1].T), basis], axis=-1))
-    return us, vbars

@@ -4,13 +4,22 @@ Two routes, both driven by the Dirac-algebra layer and kept strictly apart
 from :mod:`spincorr.closed_form`:
 
 * ``amplitude_polarized`` assembles the two-channel tree amplitude from the
-  explicit external spinors and contracts Lorentz indices numerically.
+  paper's explicit external spinors (:func:`~spincorr.kinematics.polarized_initial_spinors`
+  and :func:`~spincorr.kinematics.polarized_final_maps`, both verbatim) and
+  contracts Lorentz indices numerically.
 * ``quad_unpolarized_complex`` evaluates the four-term trace expression for
   the initially unpolarized setup verbatim (callers take the real part; the
   imaginary part is a numerical diagnostic), while ``spin_average_oracle``
   averages the squared amplitude over a complete initial-spin basis.  The
   two are compared against each other because transcribed trace expressions
-  are easy to get wrong; the cross check is the arbiter.
+  are easy to get wrong; the cross check is the arbiter.  Every spinor of
+  this layout comes from the one standard pair builder
+  :func:`~spincorr.kinematics.pair_maps`.
+
+Both amplitudes are one channel contraction, t*X - s*Y with X the
+annihilation and Y the exchange numerator, over (initial electron spin,
+initial positron spin, final two-spinor axes); the polarized route takes
+its single initial spin state.
 
 All three routes take scalar or array angles.  Scalar angles give a Python
 ``complex`` or ``float``; arrays broadcast against each other and give an
@@ -58,11 +67,10 @@ from .kinematics import (
     Speed,
     invariants,
     momenta,
+    pair_maps,
     polarized_final_maps,
     polarized_initial_spinors,
     require_subluminal,
-    unpolarized_final_maps,
-    unpolarized_initial_basis,
     xi,
     zeta,
 )
@@ -120,20 +128,29 @@ class _UnpolarizedBlocks(NamedTuple):
     trace: np.ndarray         # (2, 2, 2, 2): axes (conj xi1, xi2, conj xi2, xi1)
 
 
+def _channels(s, t, us, vbars, ubar_k1, v_k2) -> np.ndarray:
+    """The propagator-cleared two-channel amplitude t*X - s*Y, axes (i, j, a, b).
+
+    ``us`` (i, 4) holds the electron spinors u(p1) and ``vbars`` (j, 4) the
+    positron adjoints vbar(p2), one row per initial spin state; ``ubar_k1``
+    (a, 4) and ``v_k2`` (4, b) are the final-spinor maps, whose two-spinor
+    axes the kernel keeps.
+    """
+    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2                       # (mu, a, b)
+    initial_ann = np.einsum("ja,mab,ib->ijm", vbars, GAMMA_STACK, us)
+    electron = ubar_k1 @ GAMMA_STACK @ us.T                        # (mu, a, i)
+    positron = vbars @ GAMMA_STACK @ v_k2                          # (mu, j, b)
+    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
+    exchange = np.einsum("m,mai,mjb->ijab", _SIGNS, electron, positron)
+    return t * annihilation - s * exchange
+
+
 @_per_speed
 def _polarized_blocks(speed: Speed) -> _PolarizedBlocks:
     s, t = invariants(momenta(Config.POLARIZED_AXES, speed))
     u_p1, vbar_p2 = polarized_initial_spinors(speed)
     ubar_k1, v_k2 = polarized_final_maps(speed)
-    v_k2 = v_k2.T  # (4, 2): columns act on the two-spinor
-    # Vertex values, axes (mu, ...); a final spinor leaves its two-spinor axis.
-    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2         # ubar(k1) gamma^mu v(k2)
-    initial_ann = vbar_p2 @ GAMMA_STACK @ u_p1       # vbar(p2) gamma^mu u(p1)
-    electron = ubar_k1 @ GAMMA_STACK @ u_p1          # ubar(k1) gamma^mu u(p1)
-    positron = vbar_p2 @ GAMMA_STACK @ v_k2          # vbar(p2) gamma^mu v(k2)
-    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
-    exchange = (_SIGNS[:, np.newaxis] * electron).T @ positron
-    amplitude = t * annihilation - s * exchange
+    amplitude = _channels(s, t, u_p1[np.newaxis], vbar_p2[np.newaxis], ubar_k1, v_k2.T)[0, 0]
     _read_only(amplitude)
     return _PolarizedBlocks(amplitude)
 
@@ -142,22 +159,15 @@ def _polarized_blocks(speed: Speed) -> _PolarizedBlocks:
 def _unpolarized_blocks(speed: Speed) -> _UnpolarizedBlocks:
     ms = momenta(Config.UNPOLARIZED_AXES, speed)
     s, t = invariants(ms)
-    us, vbars = unpolarized_initial_basis(speed)
-    u_k1, v_k2 = unpolarized_final_maps(speed)
-    ubar_k1, vbar_k2 = dirac_adjoint(u_k1), dirac_adjoint(v_k2)
+    us, v_p2 = pair_maps(speed, 1)
+    u_k1, v_k2 = pair_maps(speed, 0)
+    vbars, ubar_k1, vbar_k2 = dirac_adjoint(v_p2), dirac_adjoint(u_k1), dirac_adjoint(v_k2)
     u_k1, v_k2 = u_k1.T, v_k2.T  # (4, 2): columns act on the two-spinor
-
     # Spin average, axes (i, j, ...): electron basis state i, positron basis state j.
-    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2                       # (mu, a, b)
-    initial_ann = np.einsum("ja,mab,ib->ijm", vbars, GAMMA_STACK, us)
-    electron = ubar_k1 @ GAMMA_STACK @ us.T                        # (mu, a, i)
-    positron = vbars @ GAMMA_STACK @ v_k2                          # (mu, j, b)
-    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
-    exchange = np.einsum("m,mai,mjb->ijab", _SIGNS, electron, positron)
-    amplitudes = t * annihilation - s * exchange
+    amplitudes = _channels(s, t, us, vbars, ubar_k1, v_k2)
 
-    # Trace expression: b^mu = ubar(k1) gamma^mu v(k2), which is final_ann,
-    # and c^sigma = vbar(k2) gamma^sigma u(k1) carry the first three terms,
+    # Trace expression: b^mu = ubar(k1) gamma^mu v(k2) and
+    # c^sigma = vbar(k2) gamma^sigma u(k1) carry the first three terms,
     # ubar(k1) gamma^mu (m - p1slash) gamma^sigma u(k1) times
     # vbar(k2) gamma^sigma (p2slash + m) gamma^mu v(k2) the fourth.
     eye = np.eye(4, dtype=complex)
@@ -169,7 +179,8 @@ def _unpolarized_blocks(speed: Speed) -> _UnpolarizedBlocks:
     c_sigma = vbar_k2 @ GAMMA_STACK @ u_k1                         # (sigma, c, d)
     # One (mu, sigma) weight for terms 1-3; trace_1 is indexed (sigma, mu).
     weights = t * t * (_WEIGHTS * trace_1).T - s * t * _WEIGHTS * (trace_2 + trace_3)
-    bilinear_terms = np.tensordot(final_ann, np.tensordot(weights, c_sigma, axes=1), axes=(0, 0))
+    b_mu = ubar_k1 @ GAMMA_STACK @ v_k2                            # (mu, a, b)
+    bilinear_terms = np.tensordot(b_mu, np.tensordot(weights, c_sigma, axes=1), axes=(0, 0))
     gammas = GAMMA_STACK[:, np.newaxis]
     u_block = ubar_k1 @ (gammas @ p1_minus @ GAMMA_STACK) @ u_k1     # (mu, sigma, a, d)
     v_block = vbar_k2 @ (gammas @ p2_plus @ GAMMA_STACK) @ v_k2      # (sigma, mu, c, b)

@@ -159,7 +159,7 @@ def identity_checks(
     pol_f = cf.harmonic(CorrelationModel.POLARIZED, beta)
     unp_f = cf.harmonic(CorrelationModel.UNPOLARIZED, beta)
     pol, unp = pol_f.joint(chi1s, chi2s), unp_f.joint(chi1s, chi2s)
-    # Python's sum over the pair axis adds in the same order as cf.four_pair_sum.
+    # Python's sum adds the four pairs left to right, in FOUR_PAIR_SHIFTS order.
     deviations = (
         sum(pol) - 1.0,
         sum(unp) - 1.0,

@@ -16,20 +16,21 @@ from spincorr.chsh import AngleQuad, SearchSettings, beta_scan, s_value
 from spincorr.cli import main
 from spincorr.closed_form import (
     CorrelationModel,
-    four_pair_sum,
     intensity,
     joint,
     marginal,
     norm,
     template_coefficients,
 )
-from spincorr.dirac import METRIC, FourVector, gamma, slash, trace_product
+from spincorr.dirac import FourVector, slash
 from spincorr.kinematics import Speed
 from spincorr.oracle import (
     cross_check_unpolarized,
     fit_polarized,
     fit_unpolarized,
 )
+
+from reference import METRIC, four_pair_sum, gamma, trace_product
 
 # Pre-build regression pins: six-term evaluation of the closed-form joint
 # probabilities and marginals at the published angle quadruples, computed

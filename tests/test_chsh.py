@@ -25,6 +25,8 @@ from spincorr.chsh import (
 from spincorr.closed_form import PROBES, CorrelationModel, joint, joint_probability, marginal
 from spincorr.kinematics import Speed
 
+from reference import recombine
+
 # Regression pins, hand-derived before the build by six-term evaluation of
 # the closed-form probabilities (double precision, cross-checked at 40
 # digits).  The published figures are -1.311 and -1.167; the gap between
@@ -63,7 +65,7 @@ class TestSValue:
     @given(models, betas, quads)
     def test_terms_recombine_exactly(self, model, b, quad):
         result = s_value(model, Speed(b), quad)
-        assert abs(result.recombine() - result.s_value) < 1e-14
+        assert abs(recombine(result) - result.s_value) < 1e-14
 
     @given(quads)
     def test_rest_frame_polarized_is_minus_half(self, quad):
@@ -161,7 +163,7 @@ class TestSearch:
 
     def test_result_reconstructs(self):
         result = search_violation(CorrelationModel.POLARIZED, Speed(0.9), CI_SETTINGS)
-        assert abs(result.recombine() - result.s_value) < 1e-14
+        assert abs(recombine(result) - result.s_value) < 1e-14
 
     @pytest.mark.parametrize("step,model,beta,expected", SEARCHED_S_PINS)
     def test_searched_s_pinned(self, step, model, beta, expected):
@@ -449,7 +451,7 @@ class TestBetaScan:
         rows = beta_scan(CorrelationModel.UNPOLARIZED, speeds, CI_SETTINGS)
         assert [r.beta for r in rows] == [0.2, 0.5, 0.8]
         for row in rows:
-            assert abs(row.recombine() - row.s_value) < 1e-14
+            assert abs(recombine(row) - row.s_value) < 1e-14
 
     def test_matches_individual_searches(self):
         speeds = [Speed(b) for b in (0.3, 0.6)]

@@ -21,8 +21,8 @@ def run(capsys, *argv):
 
 # Exact stdout of fixed commands in every format, recorded before the three
 # point subcommands shared one emitter (the scan commands before the closed
-# forms shared one harmonic matrix); any change to formatting or to a value
-# shows here.
+# forms shared one harmonic matrix, verify before the oracle kernels shared
+# one channel contraction); any change to formatting or to a value shows here.
 PINNED_STDOUT = {
     "coeffs --beta 0.6 --format pretty": (
         "beta = 0.6\n"
@@ -443,6 +443,55 @@ PINNED_STDOUT = {
         "    \"violated\": true\n"
         "  }\n"
         "]\n"
+    ),
+    "verify --format pretty": (
+        "== reference points ==\n"
+        "polarized beta=0.9 angles_deg=(0.0, 45.0, 69.0, 200.0): S_computed = -0.8085870561003567, S_reference = -1.311, gap = 0.502413 (informational)\n"
+        "unpolarized beta=0.8 angles_deg=(0.0, 45.0, 210.0, 15.0): S_computed = -1.3063175651621297, S_reference = -1.167, gap = 0.139318 (informational)\n"
+        "== internal identities ==\n"
+        "[pass] polarized four-pair sum equals 1: max error 4.441e-16 (tolerance 1.0e-12)\n"
+        "[pass] unpolarized four-pair sum equals 1: max error 6.661e-16 (tolerance 1.0e-12)\n"
+        "[pass] polarized normalization equals brute four-pair sum: max error 2.842e-14 (tolerance 1.0e-12)\n"
+        "[pass] unpolarized normalization equals brute four-pair sum: max error 5.329e-15 (tolerance 1.0e-12)\n"
+        "[pass] polarized marginal 1 equals defining sum: max error 2.220e-16 (tolerance 1.0e-12)\n"
+        "[pass] polarized marginal 2 equals defining sum: max error 2.220e-16 (tolerance 1.0e-12)\n"
+        "[pass] unpolarized marginals equal one half: max error 4.441e-16 (tolerance 1.0e-12)\n"
+        "[pass] polarized template fit residual at beta=0.3: max error 8.091e-16 (tolerance 1.0e-09)\n"
+        "[pass] unpolarized template fit residual at beta=0.3: max error 7.556e-16 (tolerance 1.0e-09)\n"
+        "[pass] polarized template fit residual at beta=0.6: max error 1.020e-15 (tolerance 1.0e-09)\n"
+        "[pass] unpolarized template fit residual at beta=0.6: max error 5.277e-16 (tolerance 1.0e-09)\n"
+        "[pass] polarized template fit residual at beta=0.9: max error 8.259e-16 (tolerance 1.0e-09)\n"
+        "[pass] unpolarized template fit residual at beta=0.9: max error 6.034e-16 (tolerance 1.0e-09)\n"
+        "== oracle fit versus closed form (informational) ==\n"
+        "polarized beta=0.3: scale=1.41739 residual=8.091e-16 verdict=DISAGREE\n"
+        "  fitted/scale = ['+1.410265', '-0.000000', '+1.478359', '+0.000000']\n"
+        "  closed form  = ['+1.151660', '+0.194082', '+1.619621', '+0.177109']\n"
+        "  rel. deviation = ['1.60e-01', '1.20e-01', '8.72e-02', '1.09e-01']\n"
+        "unpolarized beta=0.3: scale=0.920181 residual=7.556e-16 verdict=DISAGREE\n"
+        "  fitted/scale = ['-1.274549', '+0.210547', '+6.179804']\n"
+        "  closed form  = ['-3.250884', '+1.106200', '+4.550000']\n"
+        "  rel. deviation = ['4.34e-01', '1.97e-01', '3.58e-01']\n"
+        "polarized beta=0.6: scale=1.05055 residual=1.020e-15 verdict=DISAGREE\n"
+        "  fitted/scale = ['+1.880259', '-0.000000', '+2.350324', '+0.000000']\n"
+        "  closed form  = ['+1.494815', '+0.764444', '+2.259259', '+0.444444']\n"
+        "  rel. deviation = ['1.71e-01', '3.38e-01', '4.03e-02', '1.97e-01']\n"
+        "unpolarized beta=0.6: scale=5.0696 residual=5.277e-16 verdict=DISAGREE\n"
+        "  fitted/scale = ['-2.513836', '+0.041988', '+5.270417']\n"
+        "  closed form  = ['-3.634176', '+1.619200', '+3.200000']\n"
+        "  rel. deviation = ['3.08e-01', '4.34e-01', '5.70e-01']\n"
+        "polarized beta=0.9: scale=0.55742 residual=8.259e-16 verdict=DISAGREE\n"
+        "  fitted/scale = ['+3.034182', '-0.000000', '+6.960892', '+0.000000']\n"
+        "  closed form  = ['+1.450533', '+3.565415', '+2.668805', '+1.019653']\n"
+        "  rel. deviation = ['4.44e-01', '1.00e+00', '1.20e+00', '2.86e-01']\n"
+        "unpolarized beta=0.9: scale=322.23 residual=6.034e-16 verdict=DISAGREE\n"
+        "  fitted/scale = ['-3.071155', '-2.985513', '+18.760376']\n"
+        "  closed form  = ['-1.992036', '+3.122200', '+0.950000']\n"
+        "  rel. deviation = ['3.46e-01', '1.96e+00', '5.70e+00']\n"
+        "== cross check: trace expression vs spin average ==\n"
+        "beta=0.3: scale=-56.9741 max rel deviation=3.148e-01 [DISAGREE]\n"
+        "beta=0.6: scale=-63.2656 max rel deviation=6.952e-02 [DISAGREE]\n"
+        "beta=0.9: scale=-35.3632 max rel deviation=2.647e-01 [DISAGREE]\n"
+        "identities PASS\n"
     ),
 }
 

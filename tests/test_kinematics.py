@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,22 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr.dirac import dirac_adjoint
+from spincorr.dirac import FourVector, dirac_adjoint, slash
 from spincorr.kinematics import (
     BETA_ORACLE_MAX,
     Config,
     Speed,
     invariants,
     momenta,
+    pair_maps,
     polarized_final_maps,
-    polarized_final_spinors,
     polarized_initial_spinors,
     rho,
+    xi,
+    zeta,
+)
+
+from reference import (
+    polarized_final_spinors,
+    spatial,
     unpolarized_final_maps,
     unpolarized_final_spinors,
     unpolarized_initial_basis,
-    xi,
-    zeta,
 )
 
 betas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -86,8 +92,8 @@ class TestMomenta:
         total_in = ms.p1 + ms.p2
         total_out = ms.k1 + ms.k2
         np.testing.assert_allclose(total_in.as_array(), total_out.as_array(), atol=1e-14)
-        np.testing.assert_allclose(ms.p1.spatial(), -np.asarray(ms.p2.spatial()), atol=1e-14)
-        np.testing.assert_allclose(ms.k1.spatial(), -np.asarray(ms.k2.spatial()), atol=1e-14)
+        np.testing.assert_allclose(spatial(ms.p1), -np.asarray(spatial(ms.p2)), atol=1e-14)
+        np.testing.assert_allclose(spatial(ms.k1), -np.asarray(spatial(ms.k2)), atol=1e-14)
         for p in (ms.p1, ms.p2, ms.k1, ms.k2):
             assert p.norm2() == pytest.approx(1.0, abs=1e-12)
 
@@ -203,7 +209,8 @@ class TestUnpolarizedSpinors:
 
     @given(oracle_betas)
     def test_initial_basis_normalization(self, b):
-        us, vbars = unpolarized_initial_basis(Speed(b))
+        us, v_p2 = pair_maps(Speed(b), 1)
+        vbars = dirac_adjoint(v_p2)
         assert len(us) == 2 and len(vbars) == 2
         assert dirac_adjoint(us[0]) @ us[0] == pytest.approx(1.0, abs=1e-10)
         assert dirac_adjoint(us[1]) @ us[1] == pytest.approx(1.0, abs=1e-10)
@@ -220,11 +227,15 @@ class TestFinalSpinorMaps:
 
     def test_unpolarized_maps_at_beta_06(self):
         r, scale = 1.0 / 3.0, math.sqrt(1.125)
-        u_k1, v_k2 = unpolarized_final_maps(Speed(0.6))
+        u_k1, v_k2 = pair_maps(Speed(0.6), 0)
         np.testing.assert_allclose(u_k1 / scale, [[1, 0, 0, r], [0, 1, r, 0]], atol=1e-15)
         np.testing.assert_allclose(v_k2 / scale, [[0, -r, 1, 0], [-r, 0, 0, 1]], atol=1e-15)
 
-    @pytest.mark.parametrize("maps", (polarized_final_maps, unpolarized_final_maps))
+    @pytest.mark.parametrize(
+        "maps",
+        (polarized_final_maps, functools.partial(pair_maps, axis=0)),
+        ids=("polarized_final_maps", "pair_maps"),
+    )
     def test_maps_reject_near_lightlike(self, maps):
         with pytest.raises(ValueError, match="Lorentz factor"):
             maps(Speed(BETA_ORACLE_MAX + 1e-9))
@@ -245,3 +256,76 @@ class TestBatchedFinalSpinors:
             scalar_first, scalar_second = builder(speed, a, b)
             np.testing.assert_allclose(first[i], scalar_first, rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(second[i], scalar_second, rtol=1e-15, atol=1e-15)
+
+
+class TestPairMaps:
+    def test_equal_the_builders_they_replaced(self):
+        for beta in [k / 100 for k in range(100)] + [BETA_ORACLE_MAX]:
+            speed = Speed(beta)
+            u_k1, v_k2 = pair_maps(speed, 0)
+            old_u_k1, old_v_k2 = unpolarized_final_maps(speed)
+            assert np.array_equal(u_k1, old_u_k1) and np.array_equal(v_k2, old_v_k2), beta
+            us, v_p2 = pair_maps(speed, 1)
+            old_us, old_vbars = unpolarized_initial_basis(speed)
+            assert np.array_equal(us, old_us) and np.array_equal(dirac_adjoint(v_p2), old_vbars), beta
+
+
+def _seeded_speeds(count=200, seed=20260811):
+    return [Speed(b) for b in np.random.default_rng(seed).uniform(0.0, 1.0, size=count)] + [
+        Speed(BETA_ORACLE_MAX)
+    ]
+
+
+def _reversed(p):
+    return FourVector(p.t, -p.x, -p.y, -p.z)
+
+
+def _dirac_operator(p, mass_sign, m=1.0):
+    """pslash + mass_sign * m: the minus sign annuls u and ubar, the plus sign v and vbar."""
+    return slash(p) + mass_sign * m * np.eye(4)
+
+
+class TestDiracEquation:
+    """Each spinor family against the momentum that ``momenta`` gives it.
+
+    u(p) solves (pslash - m) u = 0 and v(p) solves (pslash + m) v = 0; the
+    rows of a map are spinors, so each residual is one matrix product.
+    """
+
+    @pytest.mark.parametrize("config, final_axis", [(Config.POLARIZED_AXES, 2), (Config.UNPOLARIZED_AXES, 0)])
+    def test_pair_maps_solve_for_their_momenta(self, config, final_axis):
+        for speed in _seeded_speeds():
+            ms = momenta(config, speed)
+            for axis, p, q in ((1, ms.p1, ms.p2), (final_axis, ms.k1, ms.k2)):
+                u, v = pair_maps(speed, axis)
+                worst = max(
+                    np.max(np.abs(_dirac_operator(p, -1.0) @ u.T)),
+                    np.max(np.abs(_dirac_operator(q, 1.0) @ v.T)),
+                )
+                assert worst <= 1e-14 * speed.gamma, (speed.beta, axis)
+
+    def test_verbatim_polarized_vbar_solves_for_the_electron_momentum(self):
+        # A pinned finding, not a verdict: vbar(p2) = (i rho, 0, 0, -1)
+        # solves vbar (pslash + m) = 0 for p1, not for its own momentum p2.
+        speed = Speed(0.6)
+        ms = momenta(Config.POLARIZED_AXES, speed)
+        u_p1, vbar_p2 = polarized_initial_spinors(speed)
+        assert np.max(np.abs(_dirac_operator(ms.p1, -1.0) @ u_p1)) < 1e-15
+        assert np.max(np.abs(vbar_p2 @ _dirac_operator(ms.p2, 1.0))) == pytest.approx(1.5, rel=1e-14)
+        assert np.max(np.abs(vbar_p2 @ _dirac_operator(ms.p1, 1.0))) < 1e-15
+
+    def test_polarized_final_maps_solve_for_reversed_momenta(self):
+        # A pinned finding, not a verdict: the rows of ubar(k1) and v(k2)
+        # solve the Dirac equation for -k1 and -k2.
+        for speed in _seeded_speeds():
+            ms = momenta(Config.POLARIZED_AXES, speed)
+            ubar_k1, v_k2 = polarized_final_maps(speed)
+            worst = max(
+                np.max(np.abs(ubar_k1 @ _dirac_operator(_reversed(ms.k1), -1.0))),
+                np.max(np.abs(_dirac_operator(_reversed(ms.k2), 1.0) @ v_k2.T)),
+            )
+            assert worst <= 1e-14 * speed.gamma, speed.beta
+        ms = momenta(Config.POLARIZED_AXES, Speed(0.6))
+        ubar_k1, v_k2 = polarized_final_maps(Speed(0.6))
+        assert np.max(np.abs(ubar_k1 @ _dirac_operator(ms.k1, -1.0))) == pytest.approx(1.5, rel=1e-14)
+        assert np.max(np.abs(_dirac_operator(ms.k2, 1.0) @ v_k2.T)) == pytest.approx(1.5, rel=1e-14)

@@ -15,10 +15,8 @@ from spincorr.kinematics import (
     Speed,
     invariants,
     momenta,
-    polarized_final_spinors,
+    polarized_final_maps,
     polarized_initial_spinors,
-    unpolarized_final_spinors,
-    unpolarized_initial_basis,
     xi,
     zeta,
 )
@@ -34,6 +32,13 @@ from spincorr.oracle import (
     validation_grid,
 )
 from spincorr.verification import run_verification
+
+from reference import (
+    polarized_final_spinors,
+    unpolarized_final_maps,
+    unpolarized_final_spinors,
+    unpolarized_initial_basis,
+)
 
 FIT_BETAS = (0.2, 0.5, 0.8)
 
@@ -396,6 +401,80 @@ class TestKernelParity:
         np.testing.assert_allclose(route(speed, chi1, chi2), expected, rtol=rtol, atol=rtol * scale)
 
 
+# The two kernel builders that the shared channel contraction and the
+# standard pair builder replaced, kept verbatim as the reference the new
+# kernels are checked against.  Each wrote out its own channel contraction.
+
+
+def _separate_polarized_kernel(speed):
+    s, t = invariants(momenta(Config.POLARIZED_AXES, speed))
+    u_p1, vbar_p2 = polarized_initial_spinors(speed)
+    ubar_k1, v_k2 = polarized_final_maps(speed)
+    v_k2 = v_k2.T  # (4, 2): columns act on the two-spinor
+    # Vertex values, axes (mu, ...); a final spinor leaves its two-spinor axis.
+    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2         # ubar(k1) gamma^mu v(k2)
+    initial_ann = vbar_p2 @ GAMMA_STACK @ u_p1       # vbar(p2) gamma^mu u(p1)
+    electron = ubar_k1 @ GAMMA_STACK @ u_p1          # ubar(k1) gamma^mu u(p1)
+    positron = vbar_p2 @ GAMMA_STACK @ v_k2          # vbar(p2) gamma^mu v(k2)
+    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
+    exchange = (_SIGNS[:, np.newaxis] * electron).T @ positron
+    return t * annihilation - s * exchange
+
+
+def _separate_unpolarized_kernels(speed):
+    weights_mu_sigma = np.outer(_SIGNS, _SIGNS)
+    ms = momenta(Config.UNPOLARIZED_AXES, speed)
+    s, t = invariants(ms)
+    us, vbars = unpolarized_initial_basis(speed)
+    u_k1, v_k2 = unpolarized_final_maps(speed)
+    ubar_k1, vbar_k2 = dirac_adjoint(u_k1), dirac_adjoint(v_k2)
+    u_k1, v_k2 = u_k1.T, v_k2.T  # (4, 2): columns act on the two-spinor
+
+    # Spin average, axes (i, j, ...): electron basis state i, positron basis state j.
+    final_ann = ubar_k1 @ GAMMA_STACK @ v_k2                       # (mu, a, b)
+    initial_ann = np.einsum("ja,mab,ib->ijm", vbars, GAMMA_STACK, us)
+    electron = ubar_k1 @ GAMMA_STACK @ us.T                        # (mu, a, i)
+    positron = vbars @ GAMMA_STACK @ v_k2                          # (mu, j, b)
+    annihilation = np.tensordot(_SIGNS * initial_ann, final_ann, axes=1)
+    exchange = np.einsum("m,mai,mjb->ijab", _SIGNS, electron, positron)
+    amplitudes = t * annihilation - s * exchange
+
+    eye = np.eye(4, dtype=complex)
+    p2_plus = slash(ms.p2) + ms.m * eye
+    p1_minus = ms.m * eye - slash(ms.p1)
+    trace_1 = np.einsum("sab,bc,mcd,da->sm", GAMMA_STACK, p2_plus, GAMMA_STACK, p1_minus)
+    trace_2 = np.einsum("ab,mbc,cd,sda->ms", p2_plus, GAMMA_STACK, p1_minus, GAMMA_STACK)
+    trace_3 = np.einsum("mab,bc,scd,da->ms", GAMMA_STACK, p1_minus, GAMMA_STACK, p2_plus)
+    c_sigma = vbar_k2 @ GAMMA_STACK @ u_k1                         # (sigma, c, d)
+    weights = t * t * (weights_mu_sigma * trace_1).T - s * t * weights_mu_sigma * (trace_2 + trace_3)
+    bilinear_terms = np.tensordot(final_ann, np.tensordot(weights, c_sigma, axes=1), axes=(0, 0))
+    gammas = GAMMA_STACK[:, np.newaxis]
+    u_block = ubar_k1 @ (gammas @ p1_minus @ GAMMA_STACK) @ u_k1     # (mu, sigma, a, d)
+    v_block = vbar_k2 @ (gammas @ p2_plus @ GAMMA_STACK) @ v_k2      # (sigma, mu, c, b)
+    fourth_term = np.tensordot(
+        weights_mu_sigma[:, :, np.newaxis, np.newaxis] * u_block, v_block.transpose(1, 0, 2, 3),
+        axes=([0, 1], [0, 1]),
+    ).transpose(0, 3, 2, 1)
+    return amplitudes, bilinear_terms + s * s * fourth_term
+
+
+class TestSharedChannelContraction:
+    """The kernels of the shared contraction against the separate builders they replaced."""
+
+    def test_unpolarized_kernels_are_bit_identical(self):
+        for k in range(100):
+            speed = Speed(k / 100)
+            blocks = oracle._unpolarized_blocks(speed)
+            amplitudes, trace = _separate_unpolarized_kernels(speed)
+            assert np.array_equal(blocks.amplitudes, amplitudes), k
+            assert np.array_equal(blocks.trace, trace), k
+
+    def test_polarized_kernel_matches_to_roundoff(self):
+        for k in range(100):
+            speed = Speed(k / 100)
+            kernel = oracle._polarized_blocks(speed).amplitude
+            expected = _separate_polarized_kernel(speed)
+            assert np.max(np.abs(kernel - expected)) <= 1e-13 * np.max(np.abs(expected)), k
 
 
 # The least-squares fit that the kernel and probe-matrix reads replaced,
